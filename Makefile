@@ -2,13 +2,14 @@
 # injection suite runs twice to catch armed-fault leakage across runs, and
 # the stress target hammers the spill and fault paths under the race
 # detector.
-.PHONY: check build test race faultinject vet bench bench-scan bench-join bench-guard stress soak serve-check cluster-check store-check fmtcheck
+.PHONY: check build test race faultinject vet bench bench-scan bench-join bench-guard bench-spine bench-compare stress soak serve-check cluster-check store-check fmtcheck
 
 check: vet build race faultinject stress soak serve-check cluster-check store-check
 
-# BENCH_GUARD=1 make check additionally compares the scan microbenchmarks
-# against the committed baseline and fails on a >10% regression. Off by
-# default: shared CI boxes are too noisy for a hard perf gate.
+# BENCH_GUARD=1 make check additionally compares the scan and join
+# microbenchmarks against the committed baseline and fails on a >10%
+# regression. Off by default: shared CI boxes are too noisy for a hard perf
+# gate.
 ifeq ($(BENCH_GUARD),1)
 check: bench-guard
 endif
@@ -45,10 +46,20 @@ bench-join:
 	go test -bench 'BenchmarkJoin' -benchmem -benchtime=1x -run '^$$' .
 	go test -bench 'BenchmarkProbe|BenchmarkScatter' -benchmem -run '^$$' ./internal/core/
 
-# bench-guard fails when a BenchmarkScan* result regresses >10% against
-# scripts/bench_baseline.txt (best-of-3 comparison; see the script).
+# bench-guard fails when a BenchmarkScan* or BenchmarkJoin{BHJ,RJ,BRJ}
+# result regresses >10% in ns/op or B/op against scripts/bench_baseline.txt
+# (best-of-5 comparison; see the script).
 bench-guard:
 	sh scripts/bench_guard.sh
+
+# bench-spine measures this commit on the benchmark spine (ten seeds per
+# workload plus a traced run) into benchmark/out/<commit>.json; bench-compare
+# sets two such files side by side: make bench-compare A=old.json B=new.json
+bench-spine:
+	sh benchmark/run.sh 10 benchmark/out/$$(git rev-parse --short HEAD).json
+
+bench-compare:
+	go run ./benchmark -compare $(A) $(B)
 
 fmtcheck:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -208,14 +208,14 @@ func BenchmarkTable5WorkloadProperties(b *testing.B) {
 
 // --- raw join micro-benchmarks: per-algorithm throughput on workload A ---
 
-func benchJoin(b *testing.B, algo plan.JoinAlgo) {
+func benchJoin(b *testing.B, algo plan.JoinAlgo, cfg core.Config) {
 	spec := bench.WorkloadA(microScale / 2)
 	build, probe := spec.Tables()
 	tuples := int64(build.NumRows() + probe.NumRows())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bench.Runs = 1
-		res, err := bench.RunDBMS(build, probe, nil, bench.DBMSOpts{Algo: algo, Core: core.DefaultConfig()})
+		res, err := bench.RunDBMS(build, probe, nil, bench.DBMSOpts{Algo: algo, Core: cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,13 +227,23 @@ func benchJoin(b *testing.B, algo plan.JoinAlgo) {
 }
 
 // BenchmarkJoinBHJ measures the buffered non-partitioned hash join alone.
-func BenchmarkJoinBHJ(b *testing.B) { benchJoin(b, plan.BHJ) }
+func BenchmarkJoinBHJ(b *testing.B) { benchJoin(b, plan.BHJ, core.DefaultConfig()) }
 
-// BenchmarkJoinRJ measures the radix join alone.
-func BenchmarkJoinRJ(b *testing.B) { benchJoin(b, plan.RJ) }
+// BenchmarkJoinRJ measures the radix join alone. At this scale pass 1
+// splits the build side finely enough, so no second pass runs.
+func BenchmarkJoinRJ(b *testing.B) { benchJoin(b, plan.RJ, core.DefaultConfig()) }
+
+// BenchmarkJoinRJTwoPass is BenchmarkJoinRJ with a cache budget small
+// enough (the 1 MiB build side needs 8 radix bits) that the histogram scan
+// and partitioning pass 2 run: the other side of the radix join's choice.
+func BenchmarkJoinRJTwoPass(b *testing.B) {
+	cfg := core.DefaultConfig()
+	cfg.CacheBudget = 4 << 10
+	benchJoin(b, plan.RJ, cfg)
+}
 
 // BenchmarkJoinBRJ measures the Bloom-filtered radix join alone.
-func BenchmarkJoinBRJ(b *testing.B) { benchJoin(b, plan.BRJ) }
+func BenchmarkJoinBRJ(b *testing.B) { benchJoin(b, plan.BRJ, core.DefaultConfig()) }
 
 // benchScan measures SUM(v) over k < sel*n on a 2M-row clustered key
 // column, with the scan pushdown on or off. The pushed 1% scan rides

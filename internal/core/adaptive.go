@@ -224,64 +224,36 @@ func (s *AdaptiveJoinSource) Emit(ctx *exec.Ctx, task int, out exec.Operator) {
 // potential matches share all hash bits used for partitioning, so key
 // matches never cross sub-partitions, and each build row lands in exactly
 // one sub-partition so matched-flag kinds (outer/semi/anti) stay exact.
-func (s *PartitionJoinSource) emitSplit(ctx *exec.Ctx, out exec.Operator, pid int, bpart, ppart []byte) {
+func (s *PartitionJoinSource) emitSplit(ctx *exec.Ctx, out exec.Operator, pid int, bch, pch [][]byte) {
 	j := s.J
 	bl, pl := j.BuildSink.Layout, j.ProbeSink.Layout
 	target := int64(j.Cfg.CacheBudget)
+	bBytes := chunkBytes(bch)
 	k := 1
-	for int64(len(bpart))>>k > target && k < 6 {
+	for bBytes>>k > target && k < 6 {
 		k++
 	}
-	j.Adapt.BeginSplit(pid, int64(len(bpart)/bl.Size), k)
+	j.Adapt.BeginSplit(pid, bBytes/int64(bl.Size), k)
 	shift := uint(j.Cfg.Pass1Bits + j.b2)
-	nsub := 1 << k
-	gov := j.Gov
-	gov.MustGrant(int64(len(bpart) + len(ppart)))
-	defer gov.Release(int64(len(bpart) + len(ppart)))
-	bsub := scatterSub(bl, bpart, shift, nsub)
-	psub := scatterSub(pl, ppart, shift, nsub)
-	for i := 0; i < nsub; i++ {
-		sb, sp := bsub.part(i), psub.part(i)
-		if len(sb) == 0 && len(sp) == 0 {
-			continue
+	bsub := j.scatterSub(bl, bch, shift, 1<<k)
+	psub := j.scatterSub(pl, pch, shift, 1<<k)
+	for i := range bsub {
+		s.joinChunks(ctx, out, bsub[i].pages, psub[i].pages)
+	}
+}
+
+// scatterSub scatters one partition's packed rows by hash bits
+// shift..shift+log2(nsub)-1 into pooled pages, which replace — and free —
+// the chunks.
+func (j *RadixJoin) scatterSub(l *Layout, chunks [][]byte, shift uint, nsub int) []pagedPart {
+	sub := make([]pagedPart, nsub)
+	take := j.page
+	for _, part := range chunks {
+		for off := 0; off < len(part); off += l.Size {
+			row := part[off : off+l.Size]
+			sub[int(l.Hash(row)>>shift)&(nsub-1)].write(row, l.Size, j.Cfg.PageBytes, take)
 		}
-		s.joinPartition(ctx, out, sb, func(yield func(ppart []byte)) {
-			if len(sp) > 0 {
-				yield(sp)
-			}
-		})
 	}
-}
-
-// subParts is a contiguous scatter of one partition onto further hash bits.
-type subParts struct {
-	data []byte
-	off  []int
-}
-
-func (s subParts) part(i int) []byte { return s.data[s.off[i]:s.off[i+1]] }
-
-// scatterSub counts, fences, and scatters one partition's packed rows by
-// hash bits shift..shift+log2(nsub)-1.
-func scatterSub(l *Layout, part []byte, shift uint, nsub int) subParts {
-	rowSize := l.Size
-	mask := uint64(nsub - 1)
-	counts := make([]int, nsub)
-	for off := 0; off < len(part); off += rowSize {
-		counts[int(l.Hash(part[off:])>>shift)&int(mask)]++
-	}
-	offs := make([]int, nsub+1)
-	for i, c := range counts {
-		offs[i+1] = offs[i] + c*rowSize
-	}
-	data := make([]byte, len(part))
-	cur := make([]int, nsub)
-	copy(cur, offs[:nsub])
-	for off := 0; off < len(part); off += rowSize {
-		row := part[off : off+rowSize]
-		p := int(l.Hash(row)>>shift) & int(mask)
-		copy(data[cur[p]:], row)
-		cur[p] += rowSize
-	}
-	return subParts{data: data, off: offs}
+	j.free(chunks...)
+	return sub
 }

@@ -141,7 +141,7 @@ func (s *HashBuildSink) Close() {
 	offs[len(s.arenas)] = total
 	j.Gov.MustGrant(int64(total))
 	j.rows = make([]byte, total)
-	parallelFor(len(s.arenas), len(s.arenas), func(i int) {
+	parallelFor(len(s.arenas), len(s.arenas), func(_, i int) {
 		copy(j.rows[offs[i]:], s.arenas[i])
 	})
 	// The worker arenas die here; return their capacity to the governor.
@@ -160,7 +160,7 @@ func (s *HashBuildSink) Close() {
 	j.entries = make([]bhjEntry, j.n)
 	mask := uint64(dirSize - 1)
 	chunks := (j.n + storage.MorselSize - 1) / storage.MorselSize
-	parallelFor(chunks, maxInt(len(s.arenas), 1), func(c int) {
+	parallelFor(chunks, maxInt(len(s.arenas), 1), func(_, c int) {
 		start := c * storage.MorselSize
 		end := minInt(start+storage.MorselSize, j.n)
 		for i := start; i < end; i++ {

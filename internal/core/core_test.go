@@ -119,7 +119,7 @@ func TestPagedPartPreservesRowsAcrossPages(t *testing.T) {
 		chunk := make([]byte, rows*rowSize)
 		rng.Read(chunk)
 		want = append(want, chunk...)
-		p.write(chunk, rowSize, 128)
+		p.write(chunk, rowSize, 128, getPage)
 	}
 	var got []byte
 	for _, pg := range p.pages {
@@ -231,6 +231,32 @@ func TestRHTableReuseAcrossPartitions(t *testing.T) {
 	}
 }
 
+// TestRHTableShrinksAfterLargePartition: one large (skewed or split)
+// partition must not leave every later partition on that worker clearing and
+// probing the large, sparse table.
+func TestRHTableShrinksAfterLargePartition(t *testing.T) {
+	var ht rhTable
+	ht.reset(100000)
+	large := cap(ht.entries)
+	ht.reset(100)
+	if need := 256; int(ht.mask)+1 != need || len(ht.entries) != need {
+		t.Fatalf("reset(100) after reset(100000): mask+1=%d, %d entries, want %d", ht.mask+1, len(ht.entries), need)
+	}
+	if cap(ht.entries) != large {
+		t.Fatalf("table memory not kept for reuse: cap %d, was %d", cap(ht.entries), large)
+	}
+	for i := 0; i < 100; i++ {
+		ht.insert(hashx.U64(uint64(i)), int32(i))
+	}
+	found := 0
+	for i := 0; i < 100; i++ {
+		ht.probe(hashx.U64(uint64(i)), func(int32) { found++ })
+	}
+	if found != 100 {
+		t.Fatalf("found %d of 100 after shrinking", found)
+	}
+}
+
 // TestRHSlotAvoidsRadixBits verifies the slot bits are disjoint from the
 // partitioning bits: keys sharing low radix bits must not collide into the
 // same slot neighborhood.
@@ -283,6 +309,15 @@ func driveSink(s *RadixSink, n, workers int, keyOf func(i int) int64) {
 	s.Close()
 }
 
+// partRows concatenates the chunks of one final partition.
+func partRows(out *Partitions, pid int) []byte {
+	var rows []byte
+	for _, c := range out.parts[pid] {
+		rows = append(rows, c...)
+	}
+	return rows
+}
+
 func testJoinPair(cfg Config) *RadixJoin {
 	layout := NewLayout([]storage.Type{storage.Int64, storage.Int64}, []int{8, 8}, []int{0})
 	probeLayout := NewLayout([]storage.Type{storage.Int64, storage.Int64}, []int{8, 8}, []int{0})
@@ -309,7 +344,7 @@ func TestRadixPartitioningInvariants(t *testing.T) {
 	mask := uint64(out.NumParts() - 1)
 	seen := map[int64]bool{}
 	for pid := 0; pid < out.NumParts(); pid++ {
-		part := out.Part(pid)
+		part := partRows(out, pid)
 		for off := 0; off < len(part); off += out.Layout.Size {
 			h := out.Layout.Hash(part[off:])
 			if h&mask != uint64(pid) {

@@ -24,11 +24,12 @@ func TestGovernorShedsFanoutBits(t *testing.T) {
 	}
 
 	j := testJoinPair(cfg)
-	// Roughly: both passes hold the materialized rows once each, and the
-	// slack is too small for the full fan-out's write-combine buffers and
-	// histogram, so at least one second-pass bit must go.
-	rowBytes := 2 * int64(n) * int64(j.BuildSink.Layout.Size)
-	gov := govern.New(rowBytes + 4096)
+	// Pass 1 holds the materialized rows once; pass 2 adds, per worker, the
+	// scattered copy of one pre-partition. The slack on top is too small
+	// for the full fan-out's write-combine buffers and histogram, so at
+	// least one second-pass bit must go.
+	rowBytes := int64(n) * int64(j.BuildSink.Layout.Size)
+	gov := govern.New(rowBytes + 2*(rowBytes>>uint(cfg.Pass1Bits)) + 4096)
 	j.Gov = gov
 	driveSink(j.BuildSink, n, 2, func(i int) int64 { return int64(i) })
 
@@ -63,7 +64,7 @@ func TestGovernorShedsFanoutBits(t *testing.T) {
 		mask := uint64(out.NumParts() - 1)
 		seen := map[int64]bool{}
 		for pid := 0; pid < out.NumParts(); pid++ {
-			part := out.Part(pid)
+			part := partRows(out, pid)
 			for off := 0; off < len(part); off += out.Layout.Size {
 				if h := out.Layout.Hash(part[off:]); h&mask != uint64(pid) {
 					t.Fatalf("row with hash %x in wrong partition %d", h, pid)

@@ -1,0 +1,349 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"partitionjoin/internal/core"
+	"partitionjoin/internal/exec"
+	"partitionjoin/internal/meter"
+	"partitionjoin/internal/plan"
+	"partitionjoin/internal/storage"
+)
+
+// These tests drive the radix join through the planner (hence the external
+// test package) with the page pool's poison hook on: a page that is put
+// twice, or read after it was put, shows up as a wrong join result.
+
+var allKinds = []core.JoinKind{
+	core.Inner, core.Semi, core.Anti, core.Mark,
+	core.LeftOuter, core.RightOuter, core.LeftSemi, core.LeftAnti,
+}
+
+// strTables builds join inputs with an integer and a string payload per
+// side. Keys repeat on both sides and some have no partner; bval == pval
+// for a share of the key-equal pairs, so the residual predicate bites.
+func strTables(nBuild, nProbe int, keyRange int64) (build, probe *storage.Table) {
+	mk := func(name, key, val, str string, n int, mul int64) *storage.Table {
+		t := storage.NewTable(name, storage.NewSchema(
+			storage.ColumnDef{Name: key, Type: storage.Int64},
+			storage.ColumnDef{Name: val, Type: storage.Int64},
+			storage.ColumnDef{Name: str, Type: storage.String, StrCap: 14},
+		), n)
+		kc, vc := t.Cols[0].(*storage.Int64Column), t.Cols[1].(*storage.Int64Column)
+		sc := t.Cols[2].(*storage.StringColumn)
+		for i := 0; i < n; i++ {
+			k := int64(i) * mul % keyRange
+			kc.Values = append(kc.Values, k)
+			vc.Values = append(vc.Values, int64(i)%3)
+			sc.AppendString(fmt.Sprintf("%s-%d", name[:1], i))
+		}
+		return t
+	}
+	return mk("build", "key", "bval", "bstr", nBuild, 7), mk("probe", "fkey", "pval", "pstr", nProbe, 11)
+}
+
+// strJoin joins the two tables on key = fkey where bval <> pval. With strs
+// the string columns ride along as payload; partition pages whose rows carry
+// strings are not recycled after the join phase (RadixJoin.retire), so the
+// integer-only shape is the one that exercises that reuse.
+func strJoin(build, probe *storage.Table, kind core.JoinKind, strs bool) *plan.JoinNode {
+	j := &plan.JoinNode{
+		ID: 1, Kind: kind,
+		Build:      plan.Scan(build, "key", "bval", "bstr"),
+		Probe:      plan.Scan(probe, "fkey", "pval", "pstr"),
+		BuildKeys:  []string{"key"},
+		ProbeKeys:  []string{"fkey"},
+		BuildPay:   []string{"bval"},
+		ProbePay:   []string{"fkey", "pval"},
+		ResidualNe: [][2]string{{"bval", "pval"}},
+	}
+	if strs {
+		j.BuildPay = append(j.BuildPay, "bstr")
+		j.ProbePay = append(j.ProbePay, "pstr")
+	}
+	if kind == core.Mark {
+		j.MarkName = "hit"
+	}
+	return j
+}
+
+// sortedRows renders a result as sorted text rows.
+func sortedRows(res *plan.ExecResult) []string {
+	r := res.Result
+	rows := make([]string, r.NumRows())
+	for i := range rows {
+		var sb strings.Builder
+		for c := range r.Vecs {
+			switch v := &r.Vecs[c]; v.T {
+			case storage.String:
+				fmt.Fprintf(&sb, "%q|", v.Str[i])
+			case storage.Float64:
+				fmt.Fprintf(&sb, "%v|", v.F64[i])
+			default:
+				fmt.Fprintf(&sb, "%d|", v.I64[i])
+			}
+		}
+		rows[i] = sb.String()
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+func joinOpts(algo plan.JoinAlgo) plan.Options {
+	o := plan.DefaultOptions()
+	o.Algo = algo
+	o.Workers = 4
+	return o
+}
+
+// TestRadixPathsMatchBHJ is the differential over the join-phase code path:
+// single-pass, forced two-pass (a cache budget far below the build side),
+// Bloom-filtered, spilling, and the adaptive BHJ->radix migration all equal
+// the plain BHJ for every join kind, with string payloads and a residual;
+// the two resident paths also with integer payloads, whose join-phase pages
+// go back to the pool while other partitions are still being joined.
+func TestRadixPathsMatchBHJ(t *testing.T) {
+	defer core.PoisonPages()()
+	build, probe := strTables(30000, 60000, 40000)
+	type variant struct {
+		name   string
+		algo   plan.JoinAlgo
+		ints   bool  // integer payloads only
+		cache  int   // Core.CacheBudget; 0 keeps the default
+		budget int64 // MemBudget with a spill directory; 0 = none
+		check  func(t *testing.T, res *plan.ExecResult)
+	}
+	spilled := func(t *testing.T, res *plan.ExecResult) {
+		if res.Spill.Partitions == 0 {
+			t.Errorf("nothing spilled (peak %d B): %v", res.MemPeak, res.Degraded)
+		}
+	}
+	migrated := func(t *testing.T, res *plan.ExecResult) {
+		if res.Adapt.Migrations == 0 {
+			t.Errorf("build did not migrate: %+v", res.Adapt)
+		}
+	}
+	variants := []variant{
+		{name: "RJ one pass", algo: plan.RJ},
+		{name: "RJ two passes", algo: plan.RJ, cache: 4 << 10},
+		{name: "BRJ one pass", algo: plan.BRJ},
+		{name: "BRJ two passes", algo: plan.BRJ, cache: 4 << 10},
+		{name: "RJ one pass spilling", algo: plan.RJ, budget: 256 << 10, check: spilled},
+		{name: "RJ two passes spilling", algo: plan.RJ, cache: 4 << 10, budget: 256 << 10, check: spilled},
+		{name: "BHJ migrating", algo: plan.BHJ, budget: 256 << 10, check: migrated},
+		{name: "RJ one pass, integers", algo: plan.RJ, ints: true},
+		{name: "RJ two passes, integers", algo: plan.RJ, ints: true, cache: 4 << 10},
+	}
+	for _, kind := range allKinds {
+		nodes, wants := map[bool]plan.Node{}, map[bool][]string{}
+		for _, ints := range []bool{false, true} {
+			nodes[ints] = strJoin(build, probe, kind, !ints)
+			ref, err := plan.ExecuteErr(context.Background(), joinOpts(plan.BHJ), nodes[ints])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wants[ints] = sortedRows(ref); len(wants[ints]) == 0 {
+				t.Fatalf("%v: empty reference; the comparison would be vacuous", kind)
+			}
+		}
+		for _, v := range variants {
+			node, want := nodes[v.ints], wants[v.ints]
+			t.Run(kind.String()+"/"+v.name, func(t *testing.T) {
+				opts := joinOpts(v.algo)
+				if v.cache > 0 {
+					opts.Core.CacheBudget = v.cache
+				}
+				if v.budget > 0 {
+					opts.MemBudget, opts.SpillDir = v.budget, t.TempDir()
+				}
+				res, err := plan.ExecuteErr(context.Background(), opts, node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.check != nil {
+					v.check(t, res)
+				}
+				if got := sortedRows(res); !slices.Equal(got, want) {
+					t.Fatalf("%d rows, want %d (or same count, different rows)", len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
+// TestConcurrentQueriesShareThePagePool runs radix joins side by side over
+// one page pool while some of them are cancelled in the middle of
+// partitioning and of the join phase. A cancelled query hands its pages back
+// while its neighbours are taking pages; every query that completes must
+// still equal its reference.
+func TestConcurrentQueriesShareThePagePool(t *testing.T) {
+	defer core.PoisonPages()()
+	build, probe := strTables(30000, 120000, 40000)
+	node := strJoin(build, probe, core.Inner, false)
+	opts := joinOpts(plan.RJ)
+	opts.Workers = 2
+	ref, err := plan.ExecuteErr(context.Background(), joinOpts(plan.BHJ), node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedRows(ref)
+
+	// cancelIn cancels a query as soon as its meter shows a phase with the
+	// given prefix open.
+	cancelIn := func(m *meter.Meter, prefix string, cancel context.CancelFunc, done <-chan struct{}) {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if ph := m.Phases(); len(ph) > 0 && strings.HasPrefix(ph[len(ph)-1].Name, prefix) {
+				cancel()
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	const rounds, queries = 3, 6
+	var cancelled int
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		for q := 0; q < queries; q++ {
+			wg.Add(1)
+			go func(q int) {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+				o := opts
+				done, watched := make(chan struct{}), make(chan struct{})
+				if phase := []string{"", "partition pass 1 (probe)", "join+"}[q%3]; phase != "" {
+					o.Meter = meter.New()
+					go func() {
+						defer close(watched)
+						cancelIn(o.Meter, phase, cancel, done)
+					}()
+				} else {
+					close(watched)
+				}
+				res, err := plan.ExecuteErr(ctx, o, node)
+				close(done)
+				<-watched
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case err != nil && q%3 == 0:
+					t.Errorf("query %d failed: %v", q, err)
+				case err != nil:
+					cancelled++
+				case !slices.Equal(sortedRows(res), want):
+					t.Errorf("query %d: wrong result next to cancelled neighbours", q)
+				}
+			}(q)
+		}
+		wg.Wait()
+	}
+	if cancelled == 0 {
+		t.Error("no query was cancelled mid-flight; the test exercised nothing")
+	}
+}
+
+// TestJoinedStringsOutliveThePartition puts a radix join under a BHJ probe,
+// which buffers its output — string slices into the radix join's partition
+// rows included — across many partition pairs before it flushes: those rows
+// must stay intact after their partition has been joined.
+func TestJoinedStringsOutliveThePartition(t *testing.T) {
+	defer core.PoisonPages()()
+	build, probe := strTables(30000, 60000, 40000)
+	few, _ := strTables(500, 1, 40000)
+	under := func(lower plan.JoinAlgo) plan.Node {
+		inner := strJoin(build, probe, core.Inner, true)
+		inner.Algo, inner.HasAlgo = lower, true
+		return &plan.JoinNode{
+			ID: 2, Kind: core.Inner, Algo: plan.BHJ, HasAlgo: true,
+			Build: plan.Scan(few, "key"), Probe: inner,
+			BuildKeys: []string{"key"}, ProbeKeys: []string{"fkey"},
+			ProbePay: []string{"bstr", "pstr", "pval"},
+		}
+	}
+	opts := joinOpts(plan.BHJ)
+	ref, err := plan.ExecuteErr(context.Background(), opts, under(plan.BHJ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedRows(ref)
+	if len(want) == 0 {
+		t.Fatal("empty reference; the comparison would be vacuous")
+	}
+	res, err := plan.ExecuteErr(context.Background(), opts, under(plan.RJ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedRows(res); !slices.Equal(got, want) {
+		t.Fatalf("%d rows, want %d (or same count, different rows): e.g. %.60s", len(got), len(want), got[0])
+	}
+}
+
+// TestRadixJoinSteadyStateAllocation pins what recycling partition pages
+// buys: once the pool is warm, a radix join allocates a small multiple of
+// its build side, not both sides' partitions over again.
+func TestRadixJoinSteadyStateAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of all puts under the race detector")
+	}
+	const nBuild, nProbe, rowSize = 20000, 320000, 32 // hash, key, payload: 24 B padded to 32
+	intTable := func(name string, n int) *storage.Table {
+		t := storage.NewTable(name, storage.NewSchema(
+			storage.ColumnDef{Name: "k", Type: storage.Int64},
+			storage.ColumnDef{Name: "v", Type: storage.Int64},
+		), n)
+		kc, vc := t.Cols[0].(*storage.Int64Column), t.Cols[1].(*storage.Int64Column)
+		for i := 0; i < n; i++ {
+			kc.Values = append(kc.Values, int64(i%nBuild))
+			vc.Values = append(vc.Values, int64(i))
+		}
+		return t
+	}
+	build, probe := intTable("build", nBuild), intTable("probe", nProbe)
+	root := plan.GroupBy(&plan.JoinNode{
+		ID: 1, Kind: core.Inner,
+		Build: plan.Scan(build, "k", "v"), Probe: plan.Scan(probe, "k", "v"),
+		BuildKeys: []string{"k"}, ProbeKeys: []string{"k"}, BuildPay: []string{"v"},
+	}, nil, plan.AggExpr{Kind: exec.AggCount, As: "n"})
+	opts := joinOpts(plan.RJ)
+	opts.Workers = 2
+	run := func() {
+		res, err := plan.ExecuteErr(context.Background(), opts, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Result.Vecs[0].I64[0]; n != nProbe {
+			t.Fatalf("count %d, want %d", n, nProbe)
+		}
+	}
+	// A collection empties part of the pool (an idle pool is garbage), which
+	// is by design but not the steady state this test pins.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run() // fills the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(3 * nBuild * rowSize); perRun > limit {
+		t.Fatalf("steady-state radix join allocates %d B per run, want <= %d B (3x the build side; both sides are %d B)",
+			perRun, limit, (nBuild+nProbe)*rowSize)
+	}
+}

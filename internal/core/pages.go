@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -15,15 +16,84 @@ type pagedPart struct {
 }
 
 // maxPageBytes caps the geometric page growth.
-const maxPageBytes = 4 << 20
+const (
+	maxPageClass = 22
+	maxPageBytes = 1 << maxPageClass
+)
+
+// pagePool recycles partition memory across queries: one sync.Pool per
+// power-of-two capacity. A page has one owner (a worker's pagedPart, a
+// Partitions slot, a join task) from getPage until that owner calls putPage.
+// Pages are append-only, so need no zeroing; an idle pool is garbage the
+// runtime drops, so it has no capacity setting, and the bytes a query holds
+// stay charged to that query's governor.
+var pagePool [maxPageClass + 1]sync.Pool
+
+// poisonPages makes putPage overwrite returned pages, so a test sees a
+// double put or a use after put as a wrong answer. Set only by tests.
+var poisonPages bool
+
+// pageCap is the capacity of the page getPage(n) returns: n rounded up to
+// a power of two, or n itself beyond the largest size class (one oversized
+// partition), which is a plain allocation.
+func pageCap(n int) int {
+	if n <= 0 || n > maxPageBytes {
+		return maxInt(n, 0)
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
+// getPage returns an empty page of capacity pageCap(n).
+func getPage(n int) []byte {
+	c := pageCap(n)
+	if c > 0 && c <= maxPageBytes {
+		if p, _ := pagePool[bits.Len(uint(c))-1].Get().(*[]byte); p != nil {
+			return *p
+		}
+	}
+	return make([]byte, 0, c)
+}
+
+// putPage gives a page back. The caller must hold no reference into it.
+func putPage(pg []byte) {
+	c := cap(pg)
+	if c == 0 || c&(c-1) != 0 || c > maxPageBytes {
+		return
+	}
+	pg = pg[:0]
+	if poisonPages {
+		for i := range pg[:c] {
+			pg[:c][i] = 0xFF
+		}
+	}
+	pagePool[bits.Len(uint(c))-1].Put(&pg)
+}
+
+// putPages returns every page of a chunk list.
+func putPages(pages [][]byte) {
+	for _, pg := range pages {
+		putPage(pg)
+	}
+}
+
+// chunkBytes sums the used bytes of a chunk list.
+func chunkBytes(chunks [][]byte) int64 {
+	var n int64
+	for _, c := range chunks {
+		n += int64(len(c))
+	}
+	return n
+}
 
 // write appends packed rows (len(data) is a multiple of rowSize), splitting
-// across page boundaries on row boundaries.
-func (p *pagedPart) write(data []byte, rowSize, firstPageBytes int) {
-	p.rows += int64(len(data) / rowSize)
+// across page boundaries on row boundaries. New pages come from take, which
+// may evict this very partition to make room (rows are counted as they
+// land, so the partition stays consistent across such a reset).
+func (p *pagedPart) write(data []byte, rowSize, firstPageBytes int, take func(n int) []byte) {
 	for len(data) > 0 {
 		if len(p.pages) == 0 || len(p.last())+rowSize > cap(p.last()) {
-			p.grow(rowSize, firstPageBytes)
+			pg := take(p.nextPageBytes(rowSize, firstPageBytes))
+			p.pages = append(p.pages, pg)
 		}
 		pg := p.last()
 		space := (cap(pg) - len(pg)) / rowSize * rowSize
@@ -32,13 +102,17 @@ func (p *pagedPart) write(data []byte, rowSize, firstPageBytes int) {
 			n = space
 		}
 		p.pages[len(p.pages)-1] = append(pg, data[:n]...)
+		p.rows += int64(n / rowSize)
 		data = data[n:]
 	}
 }
 
 func (p *pagedPart) last() []byte { return p.pages[len(p.pages)-1] }
 
-func (p *pagedPart) grow(rowSize, firstPageBytes int) {
+// nextPageBytes is the size of the page to append: pages grow
+// geometrically. write fills a page in whole rows only, so the pool's
+// power-of-two capacity need not be a multiple of the row size.
+func (p *pagedPart) nextPageBytes(rowSize, firstPageBytes int) int {
 	size := firstPageBytes
 	if n := len(p.pages); n > 0 {
 		size = cap(p.pages[n-1]) * 2
@@ -46,12 +120,7 @@ func (p *pagedPart) grow(rowSize, firstPageBytes int) {
 			size = maxPageBytes
 		}
 	}
-	if size < rowSize {
-		size = rowSize
-	}
-	// Keep capacity a multiple of the row size so rows never split.
-	size = size / rowSize * rowSize
-	p.pages = append(p.pages, make([]byte, 0, size))
+	return maxInt(size, rowSize)
 }
 
 // swwcbSet is a worker-local set of software write-combine buffers, one per
@@ -133,13 +202,15 @@ func (s *swwcbSet) drain(flush func(p int, data []byte)) {
 // and the in-sink scans. A panic in any task stops the remaining workers
 // and is re-raised on the calling goroutine, so sink-internal parallelism
 // stays inside the driver's containment instead of killing the process.
-func parallelFor(n, workers int, fn func(task int)) {
+// fn also receives the index (< workers) of the goroutine running it, for
+// tasks that keep per-goroutine scratch.
+func parallelFor(n, workers int, fn func(worker, task int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for t := 0; t < n; t++ {
-			fn(t)
+			fn(0, t)
 		}
 		return
 	}
@@ -148,7 +219,7 @@ func parallelFor(n, workers int, fn func(task int)) {
 	var firstPanic atomic.Pointer[any]
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -160,9 +231,9 @@ func parallelFor(n, workers int, fn func(task int)) {
 				if t >= n {
 					return
 				}
-				fn(t)
+				fn(w, t)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	if p := firstPanic.Load(); p != nil {

@@ -20,31 +20,32 @@ const (
 	Pass2Site = "core.radix.pass2"
 )
 
-// Partitions is the contiguous output of the two partitioning passes: one
-// byte buffer holding all packed rows, with per-partition offset fences.
-// Partition id of a row is (hash & (F1*F2-1)): the first pass splits on the
-// low B1 bits, the second on the next B2 bits.
+// Partitions is one join side after partitioning: for every final partition
+// the chunks — pages of whole packed rows — that hold its rows. Partition id
+// of a row is (hash & (F1*F2-1)): the first pass splits on the low B1 bits,
+// the second on the next B2 bits. The second pass runs only when it would
+// partition (B2 > 0) and then leaves one contiguous chunk per partition;
+// otherwise a partition is simply the list of its workers' pass-1 pages.
 //
 // Rows counts every row the sink consumed, including rows evicted to spill
-// files; Data holds only the resident ones (they are equal unless the
+// files; the chunks hold only the resident ones (they are equal unless the
 // memory governor forced a spill).
 type Partitions struct {
 	Layout *Layout
-	Data   []byte
-	Off    []int64 // len NumParts()+1, byte offsets into Data
 	B1, B2 int
 	Rows   int64
+	parts  [][][]byte // per partition id; a slot is nil once taken
 }
 
 // NumParts returns the final fan-out.
 func (p *Partitions) NumParts() int { return 1 << (p.B1 + p.B2) }
 
-// Part returns the packed rows of partition pid.
-func (p *Partitions) Part(pid int) []byte { return p.Data[p.Off[pid]:p.Off[pid+1]] }
-
-// Count returns the number of rows in partition pid.
-func (p *Partitions) Count(pid int) int {
-	return int(p.Off[pid+1]-p.Off[pid]) / p.Layout.Size
+// take moves partition pid's chunks to the caller, who owns them from here
+// on and frees them (RadixJoin.free) when the partition has been joined.
+func (p *Partitions) take(pid int) [][]byte {
+	chunks := p.parts[pid]
+	p.parts[pid] = nil
+	return chunks
 }
 
 // pass1Worker is one worker's private partitioning state: a set of
@@ -55,12 +56,14 @@ type pass1Worker struct {
 	swwcb *swwcbSet
 	parts []pagedPart
 	cols  [][]int64
+	flush func(p int, data []byte)
 }
 
 // RadixSink is the pipeline breaker that materializes one join side into
 // radix partitions. Consume runs partitioning pass 1 morsel-wise; Close
-// runs the histogram scan, the exchange step, and partitioning pass 2
-// (Figure 6), leaving the final contiguous partitions in Out.
+// decides the second-pass fan-out and, only when that is above one, runs
+// the histogram scan and partitioning pass 2 (Figure 6), leaving the final
+// partitions in Out.
 type RadixSink struct {
 	Cfg     Config
 	Layout  *Layout
@@ -175,8 +178,9 @@ func (s *RadixSink) spillPartition(w *pass1Worker, p1 int) {
 		bytes += int64(len(pg))
 	}
 	sp.recordSpill(p1, s.Side, part.rows, bytes)
-	s.gov().Release(bytes)
+	pages := part.pages
 	*part = pagedPart{}
+	s.Join.free(pages...)
 }
 
 // Open implements exec.Sink.
@@ -194,6 +198,26 @@ func (s *RadixSink) worker(ctx *exec.Ctx) *pass1Worker {
 			parts: make([]pagedPart, 1<<s.Cfg.Pass1Bits),
 		}
 		s.gov().MustGrant(int64(len(w.swwcb.buf)))
+		// flush appends a full write-combine buffer to the worker-local
+		// partition. The governor is charged, and the spill rung consulted,
+		// when the partition takes a page — for the page's capacity, which
+		// is what the query then holds — not on every flush (a fault-site
+		// check, an atomic add on a line all workers share and a peak CAS
+		// per ~16 tuples).
+		rowSize, pageBytes := s.Layout.Size, s.Cfg.PageBytes
+		gov := s.gov()
+		take := func(n int) []byte {
+			// Geometric growth reserves ahead of the data; when the budget
+			// cannot carry that, grow by first-size pages before evicting.
+			if n > pageBytes && gov.WouldExceed(int64(pageCap(n))) {
+				n = pageBytes
+			}
+			s.maybeEvict(w, int64(pageCap(n)))
+			return s.Join.page(n)
+		}
+		w.flush = func(p int, data []byte) {
+			w.parts[p].write(data, rowSize, pageBytes, take)
+		}
 		s.workers[ctx.Worker] = w
 	}
 	return w
@@ -217,15 +241,9 @@ func (s *RadixSink) Consume(ctx *exec.Ctx, b *exec.Batch) {
 		s.sampleBatch(st, b)
 	}
 	w := s.worker(ctx)
-	gov := s.gov()
 	mask := uint64(1)<<s.Cfg.Pass1Bits - 1
 	rowSize := s.Layout.Size
-	pageBytes := s.Cfg.PageBytes
-	flush := func(p int, data []byte) {
-		s.maybeEvict(w, int64(len(data)))
-		gov.MustGrant(int64(len(data)))
-		w.parts[p].write(data, rowSize, pageBytes)
-	}
+	flush := w.flush
 	var hcol []int64
 	if s.HashCol >= 0 {
 		hcol = b.Vecs[s.HashCol].I64
@@ -321,15 +339,9 @@ func (s *RadixSink) sampleBatch(st *adapt.JoinState, b *exec.Batch) {
 // memory move rather than a restart.
 func (s *RadixSink) ConsumePacked(ctx *exec.Ctx, data []byte) {
 	w := s.worker(ctx)
-	gov := s.gov()
 	mask := uint64(1)<<s.Cfg.Pass1Bits - 1
 	rowSize := s.Layout.Size
-	pageBytes := s.Cfg.PageBytes
-	flush := func(p int, d []byte) {
-		s.maybeEvict(w, int64(len(d)))
-		gov.MustGrant(int64(len(d)))
-		w.parts[p].write(d, rowSize, pageBytes)
-	}
+	flush := w.flush
 	for off := 0; off+rowSize <= len(data); off += rowSize {
 		row := data[off : off+rowSize]
 		h := s.Layout.Hash(row)
@@ -343,36 +355,27 @@ func (s *RadixSink) ConsumePacked(ctx *exec.Ctx, data []byte) {
 	s.Meter.AddWrite(int64(len(data)))
 }
 
-// Close implements exec.Sink: drains the buffers, builds the histograms
-// (the "scan" phase of Figure 10), computes the exchange prefix sums, and
-// runs partitioning pass 2 into the final contiguous buffer. The build side
-// additionally decides the second-pass fan-out from its materialized size
-// and, for the BRJ, fills the Bloom filter while scattering.
+// Close implements exec.Sink: drains the buffers and lets the build side
+// decide the second-pass fan-out from its materialized size. A fan-out of
+// one partitions nothing, so the pass-1 pages then become the final
+// partitions where they lie; otherwise the histogram scan and pass 2 run.
+// The BRJ's build side fills the Bloom filter in whichever pass is its last.
 func (s *RadixSink) Close() {
-	cfg := s.Cfg
-	f1 := 1 << cfg.Pass1Bits
-	rowSize := s.Layout.Size
-
-	// Drain pass-1 buffers.
 	gov := s.gov()
 	live := s.workers[:0]
 	for _, w := range s.workers {
 		if w == nil {
 			continue
 		}
-		wp := w.parts
-		w.swwcb.drain(func(p int, data []byte) {
-			gov.MustGrant(int64(len(data)))
-			wp[p].write(data, rowSize, cfg.PageBytes)
-		})
+		w.swwcb.drain(w.flush)
+		gov.Release(int64(len(w.swwcb.buf)))
 		live = append(live, w)
 	}
-	s.endPhase()
 
-	// Spilled pre-partitions flush their remaining resident pages before
-	// the histogram so they contribute nothing to pass 2: a partition is
-	// joined either fully resident or fully through its spill run, never
-	// half and half (a split would lose matches).
+	// Spilled pre-partitions flush their remaining resident pages first so
+	// they contribute nothing to the join phase's resident tasks: a
+	// partition is joined either fully resident or fully through its spill
+	// run, never half and half (a split would lose matches).
 	sp := s.spillState()
 	if sp != nil {
 		for _, p1 := range sp.spilledList() {
@@ -381,122 +384,140 @@ func (s *RadixSink) Close() {
 			}
 		}
 	}
-	var residentRows int64
+	out := &Partitions{Layout: s.Layout, B1: s.Cfg.Pass1Bits}
 	for _, w := range live {
 		for p := range w.parts {
-			residentRows += w.parts[p].rows
+			out.Rows += w.parts[p].rows
 		}
 	}
-
-	b2 := s.Join.decideBits(s, residentRows, maxInt(len(live), 1))
-	f2 := 1 << b2
-	maskF1 := uint64(f1 - 1)
-	maskF2 := uint64(f2 - 1)
-	shift := uint(cfg.Pass1Bits)
-
-	// Histogram scan: per pre-partition, count rows per second-pass
-	// target. One task per pre-partition keeps the counters private.
-	hist := make([][]int64, f1)
-	if f2 > 1 {
-		s.beginPhase("scan (" + s.Side + ")")
-		workers := len(live)
-		parallelFor(f1, maxInt(workers, 1), func(p1 int) {
-			h := make([]int64, f2)
-			for _, w := range live {
-				for _, pg := range w.parts[p1].pages {
-					for off := 0; off < len(pg); off += rowSize {
-						hv := s.Layout.Hash(pg[off:])
-						h[(hv>>shift)&maskF2]++
-					}
-				}
-			}
-			hist[p1] = h
-		})
-		s.Meter.AddRead(residentRows * 8)
+	out.B2 = s.Join.decideBits(s, out.Rows, maxInt(len(live), 1))
+	if out.B2 == 0 {
+		s.gather(out, live)
 		s.endPhase()
 	} else {
-		for p1 := 0; p1 < f1; p1++ {
-			h := make([]int64, 1)
-			for _, w := range live {
-				h[0] += w.parts[p1].rows
-			}
-			hist[p1] = h
-		}
-	}
-
-	// Close-time eviction: pass 2 briefly holds the pages and the final
-	// contiguous buffer at once, so this is the last moment partitions can
-	// still go to disk page by page. Evict the largest resident
-	// pre-partitions until granting the buffer fits the budget.
-	bytesP1 := make([]int64, f1)
-	var acc int64
-	for p1 := 0; p1 < f1; p1++ {
-		var n int64
-		for _, c := range hist[p1] {
-			n += c
-		}
-		bytesP1[p1] = n * int64(rowSize)
-		acc += bytesP1[p1]
+		s.endPhase()
+		s.pass2(out, live)
 	}
 	if sp != nil {
-		for gov.WouldExceed(acc) {
-			victim := -1
-			for p1, b := range bytesP1 {
-				if b > 0 && (victim < 0 || b > bytesP1[victim]) {
-					victim = p1
+		out.Rows += sp.spilledRowsTotal(s.Side)
+	}
+	s.Out = out
+	s.workers = nil
+}
+
+// gather makes every pre-partition's worker pages the final partition where
+// they lie. The BRJ's filter is filled from the stored hashes; its block
+// index shares the partition's low bits, so tasks touch disjoint blocks.
+func (s *RadixSink) gather(out *Partitions, live []*pass1Worker) {
+	out.parts = make([][][]byte, out.NumParts())
+	for p1 := range out.parts {
+		for _, w := range live {
+			out.parts[p1] = append(out.parts[p1], w.parts[p1].pages...)
+			w.parts[p1] = pagedPart{}
+		}
+	}
+	if filter := s.Join.buildFilter(s, out.Rows); filter != nil {
+		rowSize := s.Layout.Size
+		parallelFor(len(out.parts), len(live), func(_, p1 int) {
+			for _, pg := range out.parts[p1] {
+				for off := 0; off < len(pg); off += rowSize {
+					filter.Insert(s.Layout.Hash(pg[off:]))
 				}
 			}
-			if victim < 0 {
-				break
-			}
-			for _, w := range live {
-				s.spillPartition(w, victim)
-			}
-			acc -= bytesP1[victim]
-			bytesP1[victim] = 0
-			for p2 := range hist[victim] {
-				hist[victim][p2] = 0
-			}
-			residentRows = acc / int64(rowSize)
-		}
+		})
+		s.Meter.AddRead(out.Rows * 8)
 	}
+}
 
-	// Exchange: prefix sums over the histograms fence the final buffer.
-	nparts := f1 * f2
-	out := &Partitions{Layout: s.Layout, B1: cfg.Pass1Bits, B2: b2, Rows: residentRows}
-	out.Off = make([]int64, nparts+1)
-	var off int64
-	for pid := 0; pid < nparts; pid++ {
-		out.Off[pid] = off
-		p1 := pid & int(maskF1)
-		p2 := pid >> shift
-		off += hist[p1][p2] * int64(rowSize)
+// pass2 splits every pre-partition on the next B2 hash bits (Figure 6): the
+// histogram scan sizes one chunk per final partition, then one task per
+// pre-partition scatters its pages into its chunks and frees the pages;
+// every final partition is written by exactly one task, without locks.
+func (s *RadixSink) pass2(out *Partitions, live []*pass1Worker) {
+	gov, sp := s.gov(), s.spillState()
+	f1, f2 := 1<<out.B1, 1<<out.B2
+	rowSize := s.Layout.Size
+	shift := uint(out.B1)
+	maskF2 := uint64(f2 - 1)
+	workers := maxInt(len(live), 1)
+	// Per-goroutine scratch: write-combine buffers, and the chunks (for the
+	// scan, counters) of the pre-partition in work — kept out of the shared
+	// arrays until a task ends, so workers stay off each other's lines.
+	type scratch struct {
+		sw    *swwcbSet
+		cur   [][]byte
+		flush func(p2 int, data []byte) // appends to cur[p2]
+		hist  []int64
 	}
-	out.Off[nparts] = off
-	gov.MustGrant(off)
-	out.Data = make([]byte, off)
+	local := make([]scratch, workers)
 
-	// Pass 2: one task per pre-partition; every final partition is
-	// written by exactly one task, so no synchronization is needed. The
-	// BRJ fills the Bloom filter here: the filter's block index shares
-	// the partition's low bits, so tasks touch disjoint blocks.
-	s.beginPhase("partition pass 2 (" + s.Side + ")")
-	filter := s.Join.buildFilter(s, residentRows)
-	parallelFor(f1, maxInt(len(live), 1), func(p1 int) {
-		faultinject.Hit(Pass2Site)
-		cursors := make([]int64, f2)
-		for p2 := 0; p2 < f2; p2++ {
-			cursors[p2] = out.Off[p1|p2<<shift]
+	s.beginPhase("scan (" + s.Side + ")")
+	hist := make([]int64, f1*f2)
+	parallelFor(f1, workers, func(wk, p1 int) {
+		if local[wk].hist == nil {
+			local[wk].hist = make([]int64, f2)
 		}
-		flush := func(p2 int, data []byte) {
-			copy(out.Data[cursors[p2]:], data)
-			cursors[p2] += int64(len(data))
-		}
-		sw := newSWWCBSet(f2, s.swwcbBytes(), rowSize)
-		gov.MustGrant(int64(len(sw.buf)))
-		defer gov.Release(int64(len(sw.buf)))
+		h := local[wk].hist
+		clear(h)
 		for _, w := range live {
 			for _, pg := range w.parts[p1].pages {
+				for off := 0; off < len(pg); off += rowSize {
+					h[(s.Layout.Hash(pg[off:])>>shift)&maskF2]++
+				}
+			}
+		}
+		copy(hist[p1*f2:], h)
+	})
+	s.Meter.AddRead(out.Rows * 8)
+	s.endPhase()
+
+	// Close-time eviction: a pass-2 task holds a pre-partition's pages and
+	// their scattered copy at once. Evict the largest resident
+	// pre-partitions until one such copy per worker fits the budget.
+	bytesP1 := make([]int64, f1)
+	for p1 := range bytesP1 {
+		for _, w := range live {
+			bytesP1[p1] += w.parts[p1].rows * int64(rowSize)
+		}
+	}
+	for sp != nil {
+		victim := 0
+		for p1, b := range bytesP1 {
+			if b > bytesP1[victim] {
+				victim = p1
+			}
+		}
+		if bytesP1[victim] == 0 || !gov.WouldExceed(int64(workers)*bytesP1[victim]) {
+			break
+		}
+		for _, w := range live {
+			s.spillPartition(w, victim)
+		}
+		out.Rows -= bytesP1[victim] / int64(rowSize)
+		bytesP1[victim] = 0
+		clear(hist[victim*f2 : (victim+1)*f2])
+	}
+
+	s.beginPhase("partition pass 2 (" + s.Side + ")")
+	filter := s.Join.buildFilter(s, out.Rows)
+	backing := make([][]byte, f1*f2)
+	out.parts = make([][][]byte, f1*f2)
+	parallelFor(f1, workers, func(wk, p1 int) {
+		faultinject.Hit(Pass2Site)
+		l := &local[wk]
+		if l.sw == nil {
+			cur := make([][]byte, f2)
+			l.sw, l.cur = newSWWCBSet(f2, s.swwcbBytes(), rowSize), cur
+			l.flush = func(p2 int, data []byte) { cur[p2] = append(cur[p2], data...) }
+			gov.MustGrant(int64(len(l.sw.buf)))
+		}
+		sw, cur, flush := l.sw, l.cur, l.flush
+		for p2 := range cur {
+			cur[p2] = s.Join.page(int(hist[p1*f2+p2]) * rowSize)
+		}
+		for _, w := range live {
+			pages := w.parts[p1].pages
+			for _, pg := range pages {
 				for off := 0; off < len(pg); off += rowSize {
 					row := pg[off : off+rowSize]
 					hv := s.Layout.Hash(row)
@@ -512,23 +533,25 @@ func (s *RadixSink) Close() {
 				}
 			}
 			// Pages of this pre-partition are dead after the scan.
-			gov.Release(w.parts[p1].rows * int64(rowSize))
 			w.parts[p1] = pagedPart{}
+			s.Join.free(pages...)
 		}
 		sw.drain(flush)
+		for p2, chunk := range cur {
+			if pid := p1 | p2<<shift; len(chunk) > 0 {
+				backing[pid] = chunk
+				out.parts[pid] = backing[pid : pid+1 : pid+1]
+			}
+		}
 	})
-	s.Meter.AddRead(residentRows * int64(rowSize))
-	s.Meter.AddWrite(residentRows * int64(rowSize))
+	s.Meter.AddRead(out.Rows * int64(rowSize))
+	s.Meter.AddWrite(out.Rows * int64(rowSize))
 	s.endPhase()
-
-	for _, w := range live {
-		gov.Release(int64(len(w.swwcb.buf)))
+	for i := range local {
+		if sw := local[i].sw; sw != nil {
+			gov.Release(int64(len(sw.buf)))
+		}
 	}
-	if sp != nil {
-		out.Rows += sp.spilledRowsTotal(s.Side)
-	}
-	s.Out = out
-	s.workers = nil
 }
 
 // totalBitsFor sizes the fan-out so one build partition fits the cache

@@ -42,9 +42,9 @@ type RadixJoin struct {
 
 	Meter *meter.Meter
 
-	// Gov is the query's memory governor; partition pages, write-combine
-	// buffers, and the final partition buffers are accounted against it,
-	// and decideBits consults it to shed fan-out bits under pressure.
+	// Gov is the query's memory governor; partition pages and write-combine
+	// buffers are accounted against it while the join holds them, and
+	// decideBits consults it to shed fan-out bits under pressure.
 	// Nil means ungoverned. Set before the build pipeline runs.
 	Gov *govern.Governor
 
@@ -102,14 +102,14 @@ func NewRadixJoin(cfg Config, kind JoinKind, m *meter.Meter,
 // write-combine overhead of pass 2).
 //
 // When a memory budget is set, the cache-optimal fan-out is walked down one
-// bit at a time while the projected pass-2 footprint — the contiguous
-// output buffer plus per-worker write-combine buffers plus the histogram —
-// still exceeds what remains of the budget. This is the first rung of the
-// degradation ladder; the planner's BHJ fallback (plan.compileJoin) is the
-// second. A reduced fan-out trades cache locality for memory, which the
-// paper's sensitivity results show is the right direction: a slightly
-// coarser partitioning degrades throughput gently, while an OOM kill does
-// not degrade at all.
+// bit at a time while the projected pass-2 footprint — per worker the
+// scattered copy of one pre-partition and the write-combine buffers, plus
+// the histogram — still exceeds what remains of the budget. This is the
+// first rung of the degradation ladder; the planner's BHJ fallback
+// (plan.compileJoin) is the second. A reduced fan-out trades cache locality
+// for memory, which the paper's sensitivity results show is the right
+// direction: a slightly coarser partitioning degrades throughput gently,
+// while an OOM kill does not degrade at all.
 func (j *RadixJoin) decideBits(s *RadixSink, totalRows int64, workers int) int {
 	if s == j.BuildSink {
 		total := totalBitsFor(j.Cfg, totalRows*int64(s.Layout.Size))
@@ -127,12 +127,12 @@ func (j *RadixJoin) decideBits(s *RadixSink, totalRows int64, workers int) int {
 		b2 = j.Adapt.ChooseBits(b2, j.Cfg.Pass1Bits, j.Cfg.MaxPass2Bits,
 			s.Layout.Size, totalRows, j.Cfg.CacheBudget)
 		if g := j.Gov; g.Budgeted() {
-			rowBytes := totalRows * int64(s.Layout.Size)
+			prePart := totalRows * int64(s.Layout.Size) >> uint(j.Cfg.Pass1Bits)
 			overhead := func(b2 int) int64 {
 				f2 := int64(1) << b2
-				swwcb := int64(workers) * f2 * int64(s.swwcbBytes())
+				perWorker := prePart + f2*int64(s.swwcbBytes())
 				hist := int64(1) << uint(j.Cfg.Pass1Bits+b2) * 8
-				return rowBytes + swwcb + hist
+				return int64(workers)*perWorker + hist
 			}
 			want := b2
 			for b2 > 0 && g.WouldExceed(overhead(b2)) {
@@ -155,10 +155,10 @@ func (j *RadixJoin) decideBits(s *RadixSink, totalRows int64, workers int) int {
 }
 
 // buildFilter allocates the Bloom filter when this is the build side of a
-// BRJ; pass 2 fills it. Blocks >= fan-out guarantees partition-disjoint
-// writes. When any build rows spilled, the filter is disabled: spilled keys
-// would be absent from it and the probe reducer would wrongly drop their
-// matches.
+// BRJ; the side's last partitioning pass fills it. Blocks >= fan-out
+// guarantees partition-disjoint writes. When any build rows spilled, the
+// filter is disabled: spilled keys would be absent from it and the probe
+// reducer would wrongly drop their matches.
 func (j *RadixJoin) buildFilter(s *RadixSink, totalRows int64) *bloom.Filter {
 	if !j.Cfg.Bloom || s != j.BuildSink {
 		return nil
@@ -337,21 +337,106 @@ func (s *PartitionJoinSource) Emit(ctx *exec.Ctx, pid int, out exec.Operator) {
 	if j.Spill.isSpilled(pid & (1<<j.Cfg.Pass1Bits - 1)) {
 		return
 	}
-	bpart := j.BuildSink.Out.Part(pid)
-	ppart := j.ProbeSink.Out.Part(pid)
-	if thr := j.Adapt.SplitThreshold(j.Cfg.CacheBudget); thr > 0 && int64(len(bpart)) > thr {
-		s.emitSplit(ctx, out, pid, bpart, ppart)
+	bch, pch := j.BuildSink.Out.take(pid), j.ProbeSink.Out.take(pid)
+	if thr := j.Adapt.SplitThreshold(j.Cfg.CacheBudget); thr > 0 && chunkBytes(bch) > thr {
+		s.emitSplit(ctx, out, pid, bch, pch)
 		return
 	}
+	s.joinChunks(ctx, out, bch, pch)
+}
+
+// joinChunks joins one resident partition pair and retires its chunks.
+func (s *PartitionJoinSource) joinChunks(ctx *exec.Ctx, out exec.Operator, bch, pch [][]byte) {
+	j := s.J
+	bpart := j.compact(bch)
 	s.joinPartition(ctx, out, bpart, func(yield func(ppart []byte)) {
-		if len(ppart) > 0 {
-			yield(ppart)
+		for _, c := range pch {
+			yield(c)
 		}
 	})
+	j.retire(j.BuildSink.Layout, bpart)
+	j.retire(j.ProbeSink.Layout, pch...)
+}
+
+// compact returns a build partition's rows as one contiguous chunk (the
+// hash table indexes rows by position): the partition's only chunk, or a
+// pooled copy that replaces — and frees — the chunks. The caller frees it.
+func (j *RadixJoin) compact(chunks [][]byte) []byte {
+	switch len(chunks) {
+	case 0:
+		return nil
+	case 1:
+		return chunks[0]
+	}
+	n := chunkBytes(chunks)
+	buf := j.page(int(n))
+	for _, c := range chunks {
+		buf = append(buf, c...)
+	}
+	j.Meter.AddRead(n)
+	j.Meter.AddWrite(n)
+	j.free(chunks...)
+	return buf
+}
+
+// page takes a page of capacity >= n from the pool and charges the query's
+// governor for what it now holds: the page's capacity.
+func (j *RadixJoin) page(n int) []byte {
+	pg := getPage(n)
+	j.Gov.MustGrant(int64(cap(pg)))
+	return pg
+}
+
+// free returns chunks whose rows nothing references any more to the page
+// pool and their capacity to the governor.
+func (j *RadixJoin) free(chunks ...[]byte) {
+	j.release(chunks)
+	putPages(chunks)
+}
+
+func (j *RadixJoin) release(chunks [][]byte) {
+	for _, c := range chunks {
+		j.Gov.Release(int64(cap(c)))
+	}
+}
+
+// retire frees chunks of layout l that the join phase emitted results from.
+// String columns are emitted as slices into the row (Layout.AppendCol), and
+// an operator downstream may buffer such a slice until its pipeline flushes,
+// long after this partition: chunks with string columns are therefore left
+// to the garbage collector, which keeps them while anything points into them.
+func (j *RadixJoin) retire(l *Layout, chunks ...[]byte) {
+	if l.HasStringCols() {
+		j.release(chunks)
+		return
+	}
+	j.free(chunks...)
+}
+
+// Discard returns the pages of a query that unwound (cancelled, failed)
+// before the join phase consumed them. No worker of the query may still run.
+func (j *RadixJoin) Discard() {
+	for _, s := range []*RadixSink{j.BuildSink, j.ProbeSink} {
+		for _, w := range s.workers {
+			if w == nil {
+				continue
+			}
+			for p := range w.parts {
+				putPages(w.parts[p].pages)
+			}
+		}
+		if s.Out != nil {
+			for _, chunks := range s.Out.parts {
+				putPages(chunks)
+			}
+			s.Out.parts = nil
+		}
+		s.workers = nil
+	}
 }
 
 // joinPartition builds the hash table over one contiguous build partition
-// and probes it with the chunks the probe callback yields — a single
+// and probes it with the chunks the probe callback yields — the pages of a
 // resident partition, or a stream of reloaded spill frames (Algorithm 2
 // either way). Chunks must hold whole packed probe rows.
 func (s *PartitionJoinSource) joinPartition(ctx *exec.Ctx, out exec.Operator, bpart []byte, probe func(yield func(ppart []byte))) {

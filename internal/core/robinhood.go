@@ -21,19 +21,21 @@ type rhEntry struct {
 
 // reset prepares the table for n entries, reusing memory when the existing
 // capacity suffices ("we reuse the hash table's memory segment"; only
-// significant skew forces a reallocation).
+// significant skew forces a reallocation). The table is always sized to n,
+// not to the largest partition seen: one skewed partition must not leave
+// every later one clearing and probing a large, sparse table.
 func (t *rhTable) reset(n int) {
 	need := 8
 	for need*7 < n*10 { // load factor ~0.7
 		need <<= 1
 	}
-	if need > len(t.entries) {
+	if need > cap(t.entries) {
 		t.entries = make([]rhEntry, need)
-		t.mask = uint32(need - 1)
 	}
-	es := t.entries[:t.mask+1]
-	for i := range es {
-		es[i].idx = -1
+	t.entries = t.entries[:need]
+	t.mask = uint32(need - 1)
+	for i := range t.entries {
+		t.entries[i].idx = -1
 	}
 }
 

@@ -245,10 +245,7 @@ func (s *spillSrc) bytes() int64 {
 	if s.file != nil {
 		n = s.file.Bytes()
 	}
-	for _, part := range s.resident {
-		n += int64(len(part))
-	}
-	return n
+	return n + chunkBytes(s.resident)
 }
 
 // rows returns the side's total row count.
@@ -314,17 +311,15 @@ func (s *spillSrc) each(ctx *exec.Ctx, fn func(chunk []byte)) error {
 	}
 }
 
-// residentSubParts gathers the resident final sub-partitions of pass-1
-// partition p1 (pids congruent to p1 modulo the pass-1 fan-out).
+// residentSubParts takes the chunks of the resident final sub-partitions of
+// pass-1 partition p1 (pids congruent to p1 modulo the pass-1 fan-out).
 func residentSubParts(out *Partitions, p1 int) [][]byte {
-	var parts [][]byte
+	var chunks [][]byte
 	f1 := 1 << out.B1
 	for pid := p1; pid < out.NumParts(); pid += f1 {
-		if part := out.Part(pid); len(part) > 0 {
-			parts = append(parts, part)
-		}
+		chunks = append(chunks, out.take(pid)...)
 	}
-	return parts
+	return chunks
 }
 
 // rhBytes estimates the robin-hood table footprint for n build rows: the
@@ -360,6 +355,10 @@ func (s *PartitionJoinSource) emitSpilled(ctx *exec.Ctx, p1 int, out exec.Operat
 		copyFrames: j.ProbeSink.Layout.HasStringCols(),
 	}
 	s.joinSpilledPair(ctx, out, p1, 0, bsrc, psrc)
+	// Build chunks were copied into the reload buffer; probe chunks were
+	// joined where they lie.
+	j.free(bsrc.resident...)
+	j.retire(j.ProbeSink.Layout, psrc.resident...)
 }
 
 // joinSpilledPair processes one (sub-)partition pair: reload-and-join when
@@ -501,8 +500,8 @@ func (s *PartitionJoinSource) recurseSpilled(ctx *exec.Ctx, out exec.Operator, p
 	}
 	psub := scatter(psrc, j.ProbeSink.Side, j.ProbeSink.Layout)
 	// The parent runs are fully scattered; free the disk space before
-	// descending (resident slices, if any, were scattered too and stay
-	// owned by Partitions).
+	// descending (resident chunks, if any, were scattered too and stay
+	// owned by emitSpilled).
 	if bsrc.file != nil {
 		_ = bsrc.file.Remove()
 	}

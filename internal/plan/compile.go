@@ -123,7 +123,8 @@ type compiler struct {
 	adapt     *adapt.Controller // nil when Options.NoAdapt
 	spillDir  *spill.Dir        // non-nil when Options.SpillDir is set
 	spills    []*core.JoinSpill
-	workers   int // resolved driver parallelism (never <= 0)
+	radix     []*core.RadixJoin // every radix join compiled, for the unwind sweep
+	workers   int               // resolved driver parallelism (never <= 0)
 	pipelines []*exec.Pipeline
 	harvests  []func()
 	// pagers are the distinct stats-capable pagers behind the plan's

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"partitionjoin/internal/core"
@@ -127,20 +128,46 @@ func TestBloomDisabledForProbeAntiKinds(t *testing.T) {
 	}
 }
 
-func TestMeterWiredThroughExecution(t *testing.T) {
-	build, probe := makeTables(500, 5000, 600, 35)
-	m := meter.New()
-	opts := DefaultOptions()
-	opts.Algo = RJ
-	opts.Meter = m
-	Execute(opts, joinPlan(build, probe, core.Inner))
-	read, written := m.Totals()
-	if read == 0 || written == 0 {
-		t.Fatalf("meter recorded nothing: %d/%d", read, written)
-	}
-	phases := m.Phases()
-	if len(phases) < 4 {
-		t.Fatalf("only %d phases recorded", len(phases))
+// TestMeterDescribesThePassesThatRan pins the Figure 10 account: the radix
+// join's phases and byte counts cover exactly the partitioning passes that
+// ran. A build side that pass 1 already splits finely enough gets no scan
+// and no second pass — no phases and no bytes for them.
+func TestMeterDescribesThePassesThatRan(t *testing.T) {
+	const nBuild, nProbe, rowSize = 5000, 5000, 32 // hash, key, payload: 24 B padded to 32
+	build, probe := makeTables(nBuild, nProbe, 600, 35)
+	for _, tc := range []struct {
+		name        string
+		cacheBudget int
+		passes      int64
+	}{
+		{"one pass", core.DefaultConfig().CacheBudget, 1},
+		{"two passes", 1 << 10, 2},
+	} {
+		m := meter.New()
+		opts := DefaultOptions()
+		opts.Algo = RJ
+		opts.Meter = m
+		opts.Core.CacheBudget = tc.cacheBudget
+		Execute(opts, joinPlan(build, probe, core.Inner))
+		var partWritten, pass2Phases int64
+		for _, ph := range m.Phases() {
+			switch {
+			case strings.HasPrefix(ph.Name, "partition pass 1"):
+				partWritten += ph.Written
+			case strings.HasPrefix(ph.Name, "partition pass 2"), strings.HasPrefix(ph.Name, "scan"):
+				partWritten += ph.Written
+				pass2Phases++
+			}
+		}
+		if want := (tc.passes - 1) * 4; pass2Phases != want {
+			t.Errorf("%s: %d scan/pass-2 phases, want %d", tc.name, pass2Phases, want)
+		}
+		if want := (nBuild + nProbe) * rowSize * tc.passes; partWritten != want {
+			t.Errorf("%s: partitioning wrote %d B, want rows x rowSize x passes = %d", tc.name, partWritten, want)
+		}
+		if read, _ := m.Totals(); read == 0 {
+			t.Errorf("%s: meter recorded no reads", tc.name)
+		}
 	}
 }
 

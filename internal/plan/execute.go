@@ -149,6 +149,13 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*ExecResult, error) {
 		defer dir.Cleanup()
 		c.spillDir = dir
 	}
+	// However the query ends, partition pages it did not get to join go
+	// back to the page pool (RunAll returns only once every worker has).
+	defer func() {
+		for _, j := range c.radix {
+			j.Discard()
+		}
+	}()
 	pp := c.compile(root)
 	ts, caps := vecTypes(pp.cols)
 	sink := &exec.CollectSink{Types: ts, Caps: caps, Gov: gov}

@@ -116,6 +116,7 @@ func (c *compiler) compileJoin(n *JoinNode) *pipe {
 			buildOut, probeOutAll)
 		j.Gov = c.gov
 		j.Adapt = st
+		c.radix = append(c.radix, j)
 		if c.spillDir != nil {
 			j.Spill = core.NewJoinSpill(c.spillDir, c.gov, c.opts.Meter, n.ID)
 			c.spills = append(c.spills, j.Spill)
