@@ -12,21 +12,14 @@ import (
 	"runtime"
 
 	"partitionjoin/internal/bench"
-	"partitionjoin/internal/clusterbench"
 	"partitionjoin/internal/core"
-	"partitionjoin/internal/tpch"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1,fig8,fig9,fig10,fig14,fig15,fig16,fig17,table3,table4,fig18,memladder,adapt,soak,scanprune,coldscan,serve,cluster,failover,all")
+	exp := flag.String("exp", "all", "experiment: table1,fig8,fig9,fig10,fig14,fig15,fig16,fig17,table3,table4,fig18,memladder,adapt,soak,all")
 	scale := flag.Float64("scale", 1.0/64, "workload scale relative to the paper (1 = 16M x 256M tuples)")
 	runs := flag.Int("runs", 3, "repetitions per measurement (median reported)")
 	jsonOut := flag.Bool("json", false, "emit tables as JSON instead of aligned text")
-	out := flag.String("out", ".", "directory for BENCH_<exp>.json trajectory files (empty disables persistence)")
-	addr := flag.String("addr", "", "serve experiment: target a running joind (e.g. http://127.0.0.1:7432) instead of an in-process server")
-	clients := flag.Int("clients", 4*runtime.GOMAXPROCS(0), "serve experiment: concurrent closed-loop clients")
-	iters := flag.Int("iters", 20, "serve experiment: queries per client")
-	sf := flag.Float64("sf", 0.005, "serve/cluster experiments: TPC-H scale factor of the in-process servers")
 	flag.Parse()
 
 	bench.Runs = *runs
@@ -53,14 +46,6 @@ func main() {
 		} else {
 			t.Print(printf)
 		}
-		if *out != "" {
-			path, err := bench.WriteTrajectory(*out, name, t)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: trajectory: %v\n", name, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "%s: appended to %s\n", name, path)
-		}
 		fmt.Println()
 	}
 
@@ -86,48 +71,6 @@ func main() {
 	})
 	run("soak", func() (*bench.Table, error) {
 		return bench.Soak(*scale, 4*runtime.GOMAXPROCS(0), 2, cfg)
-	})
-	run("scanprune", func() (*bench.Table, error) {
-		rows := int(16e6 * *scale)
-		if rows < 1<<18 {
-			rows = 1 << 18
-		}
-		return bench.ScanPrune(rows, []float64{0.01, 0.1, 0.5, 1}, cfg)
-	})
-	run("coldscan", func() (*bench.Table, error) {
-		rows := int(4e6 * *scale)
-		if rows < 1<<18 {
-			rows = 1 << 18
-		}
-		return bench.ColdScan(rows, []float64{1, 0.5, 0.25, 0.125}, cfg)
-	})
-	run("cluster", func() (*bench.Table, error) {
-		t, _, err := clusterbench.Cluster(clusterbench.ClusterConfig{
-			Catalog: tpch.ServeCatalog(*sf),
-			Shards:  []int{1, 2, 4},
-			Chaos:   true,
-			Core:    cfg,
-		})
-		return t, err
-	})
-	run("failover", func() (*bench.Table, error) {
-		t, _, err := clusterbench.Failover(clusterbench.FailoverConfig{
-			Catalog: tpch.ServeCatalog(*sf),
-			Core:    cfg,
-		})
-		return t, err
-	})
-	run("serve", func() (*bench.Table, error) {
-		scfg := bench.ServeConfig{
-			Queries: tpch.ServeQueries(),
-			Clients: *clients, Iters: *iters,
-			Addr: *addr, Core: cfg,
-		}
-		if *addr == "" {
-			scfg.Catalog = tpch.ServeCatalog(*sf)
-		}
-		t, _, err := bench.Serve(scfg)
-		return t, err
 	})
 }
 

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
 
 	"partitionjoin/internal/core"
 	"partitionjoin/internal/plan"
@@ -84,47 +81,4 @@ func AdaptSweep(scale float64, errs []float64, cfg core.Config) (*Table, error) 
 		}
 	}
 	return t, nil
-}
-
-// trajectoryEntry is one run appended to a BENCH_<exp>.json file.
-type trajectoryEntry struct {
-	WrittenAt string     `json:"written_at"`
-	Title     string     `json:"title"`
-	Header    []string   `json:"header"`
-	Rows      [][]string `json:"rows"`
-	Notes     []string   `json:"notes,omitempty"`
-}
-
-// WriteTrajectory appends the table to dir/BENCH_<exp>.json, creating the
-// file on first use. Each file holds a JSON array of timestamped runs, so
-// successive joinbench invocations build a performance trajectory that diffs
-// and plots cleanly across commits.
-func WriteTrajectory(dir, exp string, t *Table) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_"+exp+".json")
-	var entries []trajectoryEntry
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			return "", fmt.Errorf("bench: corrupt trajectory %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return "", err
-	}
-	entries = append(entries, trajectoryEntry{
-		WrittenAt: time.Now().UTC().Format(time.RFC3339),
-		Title:     t.Title,
-		Header:    t.Header,
-		Rows:      t.Rows,
-		Notes:     t.Notes,
-	})
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
 }

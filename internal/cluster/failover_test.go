@@ -435,6 +435,41 @@ func TestStaleRingVersionRedirected(t *testing.T) {
 	}
 }
 
+// TestStaleRingRedirectSpendsNoRetry: a 409 stale-ring reply is a redirect,
+// not a failure. With no retry budget and no replica to fail over to, the
+// coordinator must still adopt the node's version, re-issue once, and get
+// rows — without charging the holder's breaker.
+func TestStaleRingRedirectSpendsNoRetry(t *testing.T) {
+	h := newRepCluster(t, 1, 1, func(c *Config) {
+		c.MaxRetries = -1      // no retries at all
+		c.BreakerThreshold = 1 // a single charged failure would trip it
+	})
+	v := h.coord.ring.Version()
+	h.nodes[0].BumpRingVersion(v + 1)
+	res, err := h.coord.Query(context.Background(), chaosQuery, "")
+	if err != nil {
+		t.Fatalf("stale ring with MaxRetries 0: %v", err)
+	}
+	rowsMatch(t, res.Rows, singleNode(t, chaosQuery).Rows)
+	if got := h.coord.ring.Version(); got != v+1 {
+		t.Fatalf("ring version %d, want the node's %d", got, v+1)
+	}
+	sh := h.coord.shards[0]
+	sh.breaker.mu.Lock()
+	fails, trips := sh.breaker.consecFails, sh.breaker.trips
+	sh.breaker.mu.Unlock()
+	if fails != 0 || trips != 0 || sh.failures.Load() != 0 {
+		t.Fatalf("redirect charged the holder: %d breaker failures, %d trips, %d shard failures",
+			fails, trips, sh.failures.Load())
+	}
+	// The re-issue is still a re-dispatch: the query's stats and the
+	// /statsz counters must agree that it was one.
+	if r := int64(res.Stats.Retries); r == 0 || sh.retries.Load() != r || h.coord.retries.Load() != r {
+		t.Fatalf("retry counts disagree: stats %d, shard %d, coordinator %d",
+			res.Stats.Retries, sh.retries.Load(), h.coord.retries.Load())
+	}
+}
+
 // TestChaosGateKillMidQueryStream is the acceptance gate: with R=2, a node
 // SIGKILLed in the middle of a stream of partitioned TPC-H queries
 // (Q3/Q12-shaped) yields zero client-visible errors, results bit-identical

@@ -314,13 +314,16 @@ func (c *Coordinator) runFragment(ctx context.Context, ft fragTarget, fsql, qid 
 }
 
 // holderAttempts runs the per-holder retry ladder: up to MaxRetries
-// re-dispatches with jittered backoff against one holder. The returned
-// error is a *fragError when the holder failed (retryable = budget
-// exhausted on transient errors; skipHolder = replica unmounted) and the
-// parent context's cause when the query itself died.
+// re-dispatches with jittered backoff against one holder (a stale-ring 409
+// re-issues at once, counted as a retry but outside the budget). The
+// returned error is a *fragError when the holder failed (retryable =
+// budget exhausted on transient errors; skipHolder = replica unmounted) and
+// the parent context's cause when the query itself died.
 func (c *Coordinator) holderAttempts(ctx context.Context, sh *shard, path, fsql, qid string, tries *int) (*fragResult, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
+	var redirected int64 // highest ring version a 409 has shown this ladder
+	redirects := 0       // free stale-ring re-issues taken by this ladder
+	for attempt := 0; attempt <= c.cfg.MaxRetries; {
 		if err := context.Cause(ctx); err != nil {
 			return nil, err
 		}
@@ -341,16 +344,21 @@ func (c *Coordinator) holderAttempts(ctx context.Context, sh *shard, path, fsql,
 		}
 		sh.fragments.Add(1)
 		*tries++
-		if attempt > 0 {
+		if attempt+redirects > 0 {
+			// Every dispatch after the ladder's first is a retry — a free
+			// redirect too, as Stats.Retries (tries-1) counts it.
 			sh.retries.Add(1)
 			c.retries.Add(1)
+		}
+		aqid := fmt.Sprintf("%s.s%d.a%d", qid, sh.id, attempt)
+		if redirects > 0 {
+			aqid += fmt.Sprintf("r%d", redirects) // one id per dispatch
 		}
 		actx := ctx
 		var cancel context.CancelFunc
 		if c.cfg.FragmentTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, c.cfg.FragmentTimeout)
 		}
-		aqid := fmt.Sprintf("%s.s%d.a%d", qid, sh.id, attempt)
 		cols, rows, err := c.attemptFragment(actx, addr, path, fsql, aqid)
 		if cancel != nil {
 			cancel()
@@ -374,6 +382,15 @@ func (c *Coordinator) holderAttempts(ctx context.Context, sh *shard, path, fsql,
 			// Adopt the node's newer placement so the next attempt (and
 			// every later fragment) carries a current version.
 			c.ring.BumpTo(fe.ringVer)
+			// A redirect is not a failure: re-issue at once, free of the
+			// breaker and the retry budget — once per version this ladder
+			// is shown, not per version this call raised, because sibling
+			// fragments of one scatter race to adopt the same bump.
+			if fe.ringVer > redirected {
+				redirected = fe.ringVer
+				redirects++
+				continue
+			}
 		}
 		sh.breaker.fail(time.Now())
 		if !fe.retryable {
@@ -385,6 +402,7 @@ func (c *Coordinator) holderAttempts(ctx context.Context, sh *shard, path, fsql,
 		if !c.sleepBackoff(ctx, attempt, fe.retryAfter) {
 			return nil, context.Cause(ctx)
 		}
+		attempt++
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("shard %d %s, breaker open", sh.id, sh.State())

@@ -19,8 +19,8 @@ import (
 
 // The coordinator speaks the exact wire dialect of internal/server — the
 // same /query request body, NDJSON stream shape, and error envelope — so
-// server.Client, sqlrun, and joinbench drive a coordinator and a single
-// node interchangeably.
+// server.Client, sqlrun -server and the benchmark's cluster_fabric workload
+// drive a coordinator and a single node interchangeably.
 
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {

@@ -294,8 +294,8 @@ func TestJoinedStringsOutliveThePartition(t *testing.T) {
 }
 
 // TestRadixJoinSteadyStateAllocation pins what recycling partition pages
-// buys: once the pool is warm, a radix join allocates a small multiple of
-// its build side, not both sides' partitions over again.
+// buys: once the pool is warm, a radix join allocates a fraction of its
+// partitions, not both sides' partitions over again.
 func TestRadixJoinSteadyStateAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of all puts under the race detector")
@@ -342,8 +342,13 @@ func TestRadixJoinSteadyStateAllocation(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(3 * nBuild * rowSize); perRun > limit {
-		t.Fatalf("steady-state radix join allocates %d B per run, want <= %d B (3x the build side; both sides are %d B)",
-			perRun, limit, (nBuild+nProbe)*rowSize)
+	// sync.Pool caches pages per P, so a worker that changes P (or loses its
+	// core to another process) misses and allocates a fresh page now and
+	// then. A quarter of both sides' partition bytes leaves room for those
+	// misses and still fails by 4x a join that re-allocates every page.
+	both := uint64((nBuild + nProbe) * rowSize)
+	if limit := both / 4; perRun > limit {
+		t.Fatalf("steady-state radix join allocates %d B per run, want <= %d B (a quarter of both sides' %d B)",
+			perRun, limit, both)
 	}
 }

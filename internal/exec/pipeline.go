@@ -144,7 +144,7 @@ func (d *Driver) Run(ctx context.Context, p *Pipeline) error {
 						if d.Progress != nil {
 							d.Progress.Add(1)
 						}
-						faultinject.Hit(MorselSite)
+						faultinject.HitCtx(wctx, MorselSite)
 						p.Source.Emit(ctx, t, chain)
 					}
 					if wctx.Err() == nil {

@@ -8,6 +8,7 @@
 package faultinject
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -260,6 +261,13 @@ func lookup(site string) *Fault {
 // one atomic load. If a Panic fault triggers, Hit panics with *Injected; a
 // Stall fault sleeps; a Fail fault is ignored here (use ErrAt).
 func Hit(site string) {
+	HitCtx(context.Background(), site)
+}
+
+// HitCtx is Hit for sites that run under a query context: a Stall fault
+// ends early when ctx is done, so a long stall models a worker wedged until
+// whoever owns the query (a deadline, a watchdog, a client) cancels it.
+func HitCtx(ctx context.Context, site string) {
 	if !enabled.Load() {
 		return
 	}
@@ -271,7 +279,12 @@ func Hit(site string) {
 	case Panic:
 		panic(&Injected{Site: site, Message: f.Message})
 	case Stall:
-		time.Sleep(f.Stall)
+		t := time.NewTimer(f.Stall)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
 	}
 }
 

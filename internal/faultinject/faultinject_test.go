@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -71,6 +72,30 @@ func TestFaultInjectionStallSleeps(t *testing.T) {
 	Hit("site.stall")
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("stall returned after %v", d)
+	}
+}
+
+// TestFaultInjectionStallEndsOnCancel: a long stall holds a HitCtx visitor
+// until its context is cancelled, then returns at once.
+func TestFaultInjectionStallEndsOnCancel(t *testing.T) {
+	FailOnLeak(t)
+	Arm(t, "site.stall", Fault{Kind: Stall, Stall: 30 * time.Second})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		HitCtx(ctx, "site.stall")
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("stall ended before its context was cancelled")
+	case <-time.After(20 * time.Millisecond):
+	}
+	start := time.Now()
+	cancel()
+	<-done
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("stall outlived its cancelled context by %v", d)
 	}
 }
 

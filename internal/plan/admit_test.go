@@ -173,7 +173,7 @@ func TestConcurrentExecuteSharedBroker(t *testing.T) {
 
 // TestWatchdogCancelsStalledQuery stalls one worker mid-morsel far longer
 // than the stall window; the broker's watchdog must cancel the query with
-// ErrStalled and reclaim its reservation while the worker is still asleep.
+// ErrStalled (which ends the stall) and reclaim its reservation.
 func TestWatchdogCancelsStalledQuery(t *testing.T) {
 	faultinject.FailOnLeak(t)
 	build, probe := makeTables(2000, 200000, 3000, 9)
@@ -182,7 +182,7 @@ func TestWatchdogCancelsStalledQuery(t *testing.T) {
 	})
 	defer broker.Close()
 	faultinject.Arm(t, exec.MorselSite, faultinject.Fault{
-		Kind: faultinject.Stall, Stall: 600 * time.Millisecond, After: 1, Once: true,
+		Kind: faultinject.Stall, Stall: 30 * time.Second, After: 1, Once: true,
 	})
 
 	opts := optsWith(BHJ)

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// Client is the Go client of the query service, used by joinbench's serve
-// experiment and by tests. It is safe for concurrent use; Session, when
-// set, rides along on every query.
+// Client is the Go client of the query service, used by sqlrun -server, the
+// benchmark's serve workloads and tests. It is safe for concurrent use;
+// Session, when set, rides along on every query.
 type Client struct {
 	// Base is the server URL, e.g. "http://127.0.0.1:7432".
 	Base string

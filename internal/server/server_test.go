@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 	"partitionjoin/internal/server"
 	"partitionjoin/internal/sql"
 	"partitionjoin/internal/storage"
+	"partitionjoin/internal/tpch"
 )
 
 // testCatalog is the small two-table join corpus shared by most tests.
@@ -461,7 +463,8 @@ func TestWatchdogKillMapsTo500(t *testing.T) {
 	// Wedge the single worker at its first morsel claim — right after the
 	// progress tick — for far longer than the stall window, so the genuine
 	// no-progress detection (not an injected watchdog error) kills the query.
-	faultinject.Arm(t, exec.MorselSite, faultinject.Fault{Kind: faultinject.Stall, Stall: 400 * time.Millisecond, Once: true})
+	// The kill's cancel ends the stall, however late a starved tick fires.
+	faultinject.Arm(t, exec.MorselSite, faultinject.Fault{Kind: faultinject.Stall, Stall: 30 * time.Second, Once: true})
 
 	_, err := h.client().Query(context.Background(), joinCount)
 	var re *server.RemoteError
@@ -661,13 +664,31 @@ func TestConcurrentSessionsSoak(t *testing.T) {
 	// One more query, watchdog-killed: a morsel stall flattens its progress
 	// counter and the armed watchdog fault turns the first flat sample into
 	// a kill — proving kills coexist with the healthy traffic this broker
-	// just served.
-	faultinject.Arm(t, exec.MorselSite, faultinject.Fault{Kind: faultinject.Stall, Stall: 400 * time.Millisecond, Once: true})
+	// just served. Both faults sit on process-global sites and fire once, so
+	// nothing else may be running when they are armed: the abandoned fat
+	// stream (and any client whose trailer beat its release) must have
+	// unwound first. The stall outlasts any watchdog tick and ends when the
+	// kill cancels the query, so a starved tick only delays the kill.
+	deadline := time.Now().Add(10 * time.Second)
+	for broker.InUse() != 0 || h.srv.Stats().Queries.Active != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("soak traffic never unwound: %d B reserved, %d queries active",
+				broker.InUse(), h.srv.Stats().Queries.Active)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	faultinject.Arm(t, exec.MorselSite, faultinject.Fault{Kind: faultinject.Stall, Stall: 30 * time.Second, Once: true})
 	faultinject.Arm(t, admit.WatchdogSite, faultinject.Fault{Kind: faultinject.Fail, Once: true})
-	_, werr := h.client().Query(context.Background(), joinCount)
+	wcl := h.client()
+	wcl.QueryID = "soak-watchdog-target"
+	_, werr := wcl.Query(context.Background(), joinCount)
+	// Which query consumed each Once fault: a fault still armed was consumed
+	// by no one, and a 500 carrying the target's id means the kill was ours.
+	t.Logf("watchdog target %s: %v; sites still armed: %v; stall kills %d",
+		wcl.QueryID, werr, faultinject.Armed(), broker.StallKills())
 	var wre *server.RemoteError
-	if !errors.As(werr, &wre) || wre.Status != http.StatusInternalServerError {
-		t.Fatalf("watchdog-targeted query: %v, want 500", werr)
+	if !errors.As(werr, &wre) || wre.Status != http.StatusInternalServerError || wre.QueryID != wcl.QueryID {
+		t.Fatalf("watchdog-targeted query: %v, want 500 for %s", werr, wcl.QueryID)
 	}
 	if broker.StallKills() == 0 {
 		t.Fatal("watchdog recorded no kill")
@@ -686,6 +707,93 @@ func TestConcurrentSessionsSoak(t *testing.T) {
 	t.Logf("soak: %d queries (%d ok, %d shed server-side), cache %d/%d hits, %d retries client-side",
 		st.Queries.Total, st.Queries.OK, st.Queries.Overloaded,
 		st.PlanCache.Hits, st.PlanCache.Hits+st.PlanCache.Misses, retries)
+}
+
+// TestServeSoak32Clients is the overload half of the acceptance soak: 32
+// closed-loop clients over mixed TPC-H traffic against two admission slots
+// with no queueing slack, so any arrival that cannot run at once is shed
+// and every shed client must recover by retrying with the server's
+// suggested backoff. The result cache is off: cached replays skip the
+// broker, and a warmed workload would then never contend.
+func TestServeSoak32Clients(t *testing.T) {
+	// Shedding needs requests to genuinely interleave: with a single P and
+	// sub-millisecond queries, handler goroutines run back to back and no
+	// arrival ever finds both admission slots busy. Two Ps timeshare even a
+	// one-core host preemptively, which restores the overlap.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const clients, iters = 32, 5
+	broker := admit.NewBroker(admit.Config{
+		GlobalMem:       32 << 20,
+		PerQueryDefault: 2 << 20,
+		MaxConcurrency:  2,
+		QueueDepth:      clients,
+		MaxWait:         -1,
+		StallWindow:     30 * time.Second,
+	})
+	defer broker.Close()
+	h := newHarness(t, server.Config{Broker: broker, NoResultCache: true}, tpch.ServeCatalog(0.002))
+	queries := tpch.ServeQueries()
+	ctx := context.Background()
+	// query runs one statement to completion, sleeping out each shed.
+	query := func(cl *server.Client, q string) (res *server.QueryResult, sheds int64, err error) {
+		for {
+			res, err = cl.Query(ctx, q)
+			var re *server.RemoteError
+			if !errors.As(err, &re) || !re.Overloaded() {
+				return res, sheds, err
+			}
+			sheds++
+			time.Sleep(min(max(re.RetryAfter, 10*time.Millisecond), time.Second))
+		}
+	}
+	for _, q := range queries { // warm the plan cache
+		if _, _, err := query(h.client(), q); err != nil {
+			t.Fatalf("warmup %q: %v", q, err)
+		}
+	}
+
+	var completed, sheds, hits atomic.Int64
+	var wg sync.WaitGroup
+	for ci := 0; ci < clients; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			cl := h.client()
+			for it := 0; it < iters; it++ {
+				res, n, err := query(cl, queries[(ci+it)%len(queries)])
+				sheds.Add(n)
+				if err != nil {
+					t.Errorf("client %d iter %d: %v", ci, it, err)
+					return
+				}
+				completed.Add(1)
+				if res.CacheHit() {
+					hits.Add(1)
+				}
+			}
+		}(ci)
+	}
+	wg.Wait()
+	if want := int64(clients * iters); completed.Load() != want {
+		t.Fatalf("completed %d queries, want %d", completed.Load(), want)
+	}
+	if sheds.Load() == 0 {
+		t.Fatal("no sheds: the soak did not exercise overload")
+	}
+	// The warmup pass primes every distinct statement, so the measured loop
+	// must run almost entirely on cached plans.
+	if rate := float64(hits.Load()) / float64(completed.Load()); rate <= 0.9 {
+		t.Fatalf("plan-cache hit rate %.2f, want > 0.9", rate)
+	}
+	if clean := h.srv.Drain(10 * time.Second); !clean {
+		t.Fatal("drain grace exceeded with idle clients")
+	}
+	if inUse := broker.InUse(); inUse != 0 {
+		t.Fatalf("broker leaked %d reserved bytes after drain", inUse)
+	}
+	t.Logf("soak: %d completed, %d sheds, %d plan-cache hits", completed.Load(), sheds.Load(), hits.Load())
 }
 
 // TestDrainWhileStreamingFinishesStream: SIGTERM's drain must not cut an
