@@ -291,7 +291,7 @@ func (js *JoinState) Checkpoint() {
 
 // ShouldMigrate is the morsel-granularity migration trigger: given the
 // projected additional bytes the BHJ still needs to finish its build
-// (row copy, directory, entry array — beyond what is already granted), it
+// (directory and chain links — beyond what is already granted), it
 // reports whether the build should convert to radix partitions. The first
 // rung is reservation revision: if the shared pool covers the projected
 // overrun, the budget grows and the BHJ carries on. Only when the pool

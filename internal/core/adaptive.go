@@ -13,7 +13,7 @@ import (
 // observed build outgrows the memory budget mid-build, it converts the
 // in-progress build into radix partition pages and finishes as a
 // (spillable) radix join — a staged migration, not a restart. The packed
-// row format is what makes this cheap: every arena row already carries its
+// row format is what makes this cheap: every build row already carries its
 // hash at offset 0, so migration is a re-scatter, never a re-hash or a
 // re-scan of the input.
 //
@@ -37,16 +37,11 @@ type AdaptiveJoin struct {
 func (a *AdaptiveJoin) Migrated() bool { return a.migrated.Load() }
 
 // projectedExtra returns the bytes HashBuildSink.Close would still grant on
-// top of the current account if the build ended at n rows: the contiguous
-// row copy, the directory, and the entry array. (The worker arenas are
-// released only after the copy, so the close-time peak holds both; this is
-// exactly the grant sequence of HashBuildSink.Close.)
+// top of the current account if the build ended at n rows: the directory and
+// the chain links over the pages taken so far. The pages themselves are
+// already charged, so this is exactly Close's grant.
 func (a *AdaptiveJoin) projectedExtra(n int64) int64 {
-	dirSize := int64(8)
-	for dirSize < 2*n {
-		dirSize <<= 1
-	}
-	return n*int64(a.BHJ.Layout.Size) + dirSize*8 + n*16
+	return a.BHJ.tableBytes(int(n), int(a.BHJ.taken.Load()))
 }
 
 // BuildSink returns the adaptive pipeline breaker for the build side.
@@ -58,7 +53,7 @@ func (a *AdaptiveJoin) BuildSink() *AdaptiveBuildSink {
 // checkpoint: after each consumed batch it projects the close-time memory
 // need from the observed cardinality and asks the controller whether to
 // keep going (possibly with a grown reservation) or migrate. After the
-// switch, each worker lazily re-scatters its own arena into the radix
+// switch, each worker lazily re-scatters its own build pages into the radix
 // sink's partition pages and new batches partition directly.
 type AdaptiveBuildSink struct {
 	A       *AdaptiveJoin
@@ -81,9 +76,14 @@ func (s *AdaptiveBuildSink) Consume(ctx *exec.Ctx, b *exec.Batch) {
 		a.buildRows.Add(int64(b.N))
 		return
 	}
-	before := len(s.hs.arenas[ctx.Worker])
+	// The batch's rows start at the end of the worker's last page, or on
+	// the page Consume takes first.
+	first, off := 0, 0
+	if n := len(a.BHJ.wpages[ctx.Worker]); n > 0 {
+		first, off = n-1, len(a.BHJ.wpages[ctx.Worker][n-1])
+	}
 	s.hs.Consume(ctx, b)
-	s.sampleArena(s.hs.arenas[ctx.Worker][before:])
+	s.sampleRows(a.BHJ.wpages[ctx.Worker][first:], off)
 	rows := a.buildRows.Add(int64(b.N))
 	a.St.Checkpoint()
 	if a.St.ShouldMigrate(a.projectedExtra(rows)) {
@@ -91,10 +91,11 @@ func (s *AdaptiveBuildSink) Consume(ctx *exec.Ctx, b *exec.Batch) {
 	}
 }
 
-// sampleArena feeds a strided sample of freshly packed rows' hashes into
-// the key-correlation sketch, so a later migration (or split decision) can
-// size the fan-out from the distribution actually seen.
-func (s *AdaptiveBuildSink) sampleArena(data []byte) {
+// sampleRows feeds a strided sample of freshly packed rows' hashes — those
+// from byte off of the first page on — into the key-correlation sketch, so
+// a later migration (or split decision) can size the fan-out from the
+// distribution actually seen.
+func (s *AdaptiveBuildSink) sampleRows(pages [][]byte, off int) {
 	st := s.A.St
 	stride := st.SampleEvery()
 	if stride <= 0 {
@@ -102,14 +103,17 @@ func (s *AdaptiveBuildSink) sampleArena(data []byte) {
 	}
 	l := s.A.BHJ.Layout
 	step := stride * l.Size
-	for off := 0; off+l.Size <= len(data); off += step {
-		st.Sample(l.Hash(data[off:]))
+	for _, pg := range pages {
+		for ; off < len(pg); off += step {
+			st.Sample(l.Hash(pg[off:]))
+		}
+		off -= len(pg) // the stride carries across the page boundary
 	}
 }
 
 // migrate flips the join to radix mode exactly once (sync.Once blocks the
 // other workers until the sinks are open) and re-scatters the calling
-// worker's arena.
+// worker's build pages.
 func (s *AdaptiveBuildSink) migrate(ctx *exec.Ctx) {
 	a := s.A
 	a.migrateOnce.Do(func() {
@@ -121,27 +125,31 @@ func (s *AdaptiveBuildSink) migrate(ctx *exec.Ctx) {
 	s.drainWorker(ctx)
 }
 
-// drainWorker re-scatters one worker's BHJ arena into the radix sink's
-// pages and returns the arena's budget. Each worker drains its own arena
-// on its next Consume after the switch; Close drains the stragglers.
+// drainWorker re-scatters one worker's BHJ build pages into the radix sink's
+// pages, returning each page to the pool and its capacity to the governor
+// once its rows are copied. Each worker drains its own pages on its next
+// Consume after the switch; Close drains the stragglers.
 func (s *AdaptiveBuildSink) drainWorker(ctx *exec.Ctx) {
 	w := ctx.Worker
 	if s.drained[w] {
 		return
 	}
 	s.drained[w] = true
-	a := s.A
-	arena := s.hs.arenas[w]
-	if len(arena) > 0 {
-		a.RJ.BuildSink.ConsumePacked(ctx, arena)
+	j := s.A.BHJ
+	for pages := &j.wpages[w]; len(*pages) > 0; {
+		pg := (*pages)[0]
+		s.A.RJ.BuildSink.ConsumePacked(ctx, pg)
+		// The page leaves the list before it goes back, so a failure
+		// between two pages leaves HashJoin.Release nothing to put twice.
+		*pages = (*pages)[1:]
+		j.Gov.Release(int64(cap(pg)))
+		putPage(&bytePages, pg)
 	}
-	a.BHJ.Gov.Release(int64(cap(arena)))
-	s.hs.arenas[w] = nil
 }
 
 // Close implements exec.Sink: either the BHJ finishes its table as planned
 // (and the reservation shrinks to observed truth), or the migrated radix
-// build drains the remaining arenas and closes its partitioning passes.
+// build drains the remaining build pages and closes its partitioning passes.
 func (s *AdaptiveBuildSink) Close() {
 	a := s.A
 	if !a.migrated.Load() {
@@ -149,7 +157,7 @@ func (s *AdaptiveBuildSink) Close() {
 		a.St.ShrinkAfterBuild(0)
 		return
 	}
-	for w := range s.hs.arenas {
+	for w := range s.drained {
 		if !s.drained[w] {
 			s.drainWorker(&exec.Ctx{Worker: w, Workers: a.MaxWorkers})
 		}

@@ -34,13 +34,13 @@ func probeTable() (*rhTable, []uint64) {
 // probeStaged mirrors joinPartition's group-staged probe loop: hash a group
 // of rows and load each one's first table entry before walking any probe
 // chain, so the random entry-array misses overlap instead of serializing.
-// stage = 1 degenerates to the unstaged one-at-a-time loop.
+// stage (<= probeStage) = 1 degenerates to the unstaged one-at-a-time loop.
 func probeStaged(t *rhTable, hashes []uint64, stage int) int {
 	entries := t.entries[:t.mask+1]
 	mask := t.mask
 	matches := 0
-	var stSlot [probeStageMax]uint32
-	var stEnt [probeStageMax]rhEntry
+	var stSlot [probeStage]uint32
+	var stEnt [probeStage]rhEntry
 	for base := 0; base < len(hashes); base += stage {
 		g := stage
 		if base+g > len(hashes) {
@@ -84,9 +84,9 @@ func benchProbe(b *testing.B, stage int) {
 	}
 }
 
-// BenchmarkProbeRH measures the staged robin-hood probe at the default
-// prefetch distance (Config.ProbeStage zero value).
-func BenchmarkProbeRH(b *testing.B) { benchProbe(b, (&Config{}).probeStage()) }
+// BenchmarkProbeRH measures the staged robin-hood probe at the join's
+// prefetch distance.
+func BenchmarkProbeRH(b *testing.B) { benchProbe(b, probeStage) }
 
 // BenchmarkProbeRHUnstaged is the one-row-at-a-time baseline the staging
 // is measured against.
@@ -98,7 +98,7 @@ func TestProbeStagedAllocs(t *testing.T) {
 	tbl, hashes := probeTable()
 	sink := 0
 	if n := testing.AllocsPerRun(5, func() {
-		sink += probeStaged(tbl, hashes[:1<<14], 16)
+		sink += probeStaged(tbl, hashes[:1<<14], probeStage)
 	}); n > 0 {
 		t.Fatalf("probeStaged allocates %.1f times per run, want 0", n)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"partitionjoin/internal/exec"
@@ -16,9 +17,11 @@ const BuildSite = "core.bhj.build"
 
 // HashJoin is the buffered non-partitioned hash join (BHJ, Section 4.3): a
 // global chaining hash table over the materialized build side, probed
-// in-pipeline so the probe side is never written out (Figure 4). The
-// directory words carry a 16-bit Bloom tag next to the 48-bit chain head —
-// the tagged-pointer semi-join reducer of Leis et al. — so most probe
+// in-pipeline so the probe side is never written out (Figure 4). The build
+// packs each tuple once, into pooled pages, and the table is built over those
+// pages in place: a directory word per bucket and a chain link per row slot.
+// The directory words carry a 16-bit Bloom tag next to the 48-bit chain head
+// — the tagged-pointer semi-join reducer of Leis et al. — so most probe
 // misses cost a single load. Probing happens batch-at-a-time (relaxed
 // operator fusion): the staged hash vector lets the CPU overlap the cache
 // misses of independent lookups, the software-prefetching analog available
@@ -46,142 +49,182 @@ type HashJoin struct {
 
 	Meter *meter.Meter
 
-	// Gov is the query's memory governor; build arenas, the directory,
-	// and the entry array are accounted against it. Nil means ungoverned.
+	// Gov is the query's memory governor; build pages, the directory and
+	// the chain links are accounted against it. Nil means ungoverned.
 	Gov *govern.Governor
-
-	// Stage is the probe staging group size (Config.ProbeStage); 0 picks
-	// the default. Directory words for a group of probe hashes are loaded
-	// before any row's chain walk so their cache misses overlap.
-	Stage int
 
 	// StatProbeRows and StatMatches count probe tuples and key matches
 	// for the per-join analysis (Figures 1, 2 and 13).
 	StatProbeRows atomic.Int64
 	StatMatches   atomic.Int64
 
-	dir     []uint64
-	entries []bhjEntry
-	rows    []byte
-	n       int
-	matched []uint32 // atomic bitset, LeftOuter only
-}
-
-type bhjEntry struct {
-	hash uint64
-	next int32
+	// A row's slot is page<<shift | row-in-page: every build page holds
+	// 1<<shift rows (the last page of each worker may hold fewer).
+	shift  uint
+	wpages [][][]byte   // per-worker build pages, until Close
+	pages  [][]byte     // all build pages, from Close
+	taken  atomic.Int64 // build pages taken, for AdaptiveJoin's projection
+	dir    []uint64
+	next   []int32 // chain link per slot, -1 ends a chain
+	n      int
+	// matched is an atomic bitset over slots, LeftOuter/LeftSemi/LeftAnti.
+	matched []uint32
 }
 
 const (
 	bhjIdxMask = (1 << 48) - 1
 	bhjTagBits = 16
+	// bhjPageBytes bounds a build page: it holds the largest power-of-two
+	// number of rows that fits.
+	bhjPageBytes = 64 << 10
 )
 
 // tagBit derives the directory tag from high hash bits, disjoint from the
 // directory index bits (low) and the Bloom/radix bits.
 func tagBit(h uint64) uint64 { return 1 << (48 + ((h >> 40) & 15)) }
 
+// pageShift is log2 of the rows a build page of rowSize-byte rows holds.
+func pageShift(rowSize int) uint {
+	if rowSize >= bhjPageBytes {
+		return 0
+	}
+	return uint(bits.Len(uint(bhjPageBytes/rowSize)) - 1)
+}
+
+// dirWords is the directory size for n build rows: a power of two, at least
+// twice n.
+func dirWords(n int) int {
+	d := 8
+	for d < 2*n {
+		d <<= 1
+	}
+	return d
+}
+
+// tableBytes is what Close grants for a table over n rows in the given
+// number of build pages: the directory and the chain links, at the
+// capacities the pools hand out. The pages are charged as they are taken.
+func (j *HashJoin) tableBytes(n, pages int) int64 {
+	return int64(pageCap(dirWords(n)))*8 + int64(pageCap(pages<<j.shift))*4
+}
+
+// page takes a build page from the pool and charges the query's governor for
+// its capacity.
+func (j *HashJoin) page() []byte {
+	pg := getPage(&bytePages, j.Layout.Size<<j.shift)
+	j.Gov.MustGrant(int64(cap(pg)))
+	j.taken.Add(1)
+	return pg
+}
+
+// Release returns the table's pooled memory once the query is over, however
+// it ended: the directory and the links always, the build pages only when
+// the layout has no string column. Emitted strings are slices into the
+// rows, which the garbage collector then keeps for as long as a result
+// holds them (the rule of RadixJoin.retire). No worker of the query may
+// still run.
+func (j *HashJoin) Release() {
+	putPage(&wordPages, j.dir)
+	putPage(&linkPages, j.next)
+	if !j.Layout.HasStringCols() {
+		for _, pgs := range j.wpages {
+			putPages(pgs)
+		}
+		putPages(j.pages)
+	}
+	j.dir, j.next, j.wpages, j.pages = nil, nil, nil, nil
+}
+
 // BuildSink returns the pipeline breaker that materializes the build side.
 func (j *HashJoin) BuildSink() *HashBuildSink { return &HashBuildSink{J: j} }
 
-// HashBuildSink materializes build tuples into worker-local arenas and
-// assembles the global table at Close.
+// HashBuildSink packs build tuples into worker-local page lists and builds
+// the global table over those pages at Close.
 type HashBuildSink struct {
-	J      *HashJoin
-	arenas [][]byte
+	J *HashJoin
 }
 
 // Open implements exec.Sink.
-func (s *HashBuildSink) Open(workers int) { s.arenas = make([][]byte, workers) }
+func (s *HashBuildSink) Open(workers int) {
+	j := s.J
+	j.shift = pageShift(j.Layout.Size)
+	j.wpages = make([][][]byte, workers)
+}
 
 // Consume implements exec.Sink.
 func (s *HashBuildSink) Consume(ctx *exec.Ctx, b *exec.Batch) {
 	j := s.J
 	size := j.Layout.Size
-	a := s.arenas[ctx.Worker]
+	pageBytes := size << j.shift
+	pages := &j.wpages[ctx.Worker]
 	var hcol []int64
 	if j.BuildHashCol >= 0 {
 		hcol = b.Vecs[j.BuildHashCol].I64
 	}
 	faultinject.Hit(BuildSite)
-	for i := 0; i < b.N; i++ {
-		var h uint64
-		if hcol != nil {
-			h = uint64(hcol[i])
-		} else {
-			h = HashKeys(b, j.BuildKeyCols, i)
+	for i := 0; i < b.N; {
+		if n := len(*pages); n == 0 || len((*pages)[n-1]) == pageBytes {
+			*pages = append(*pages, j.page())
 		}
-		off := len(a)
-		if cap(a) < off+size {
-			newCap := maxInt(2*cap(a), 64*size)
-			j.Gov.MustGrant(int64(newCap - cap(a)))
-			grown := make([]byte, off, newCap)
-			copy(grown, a)
-			a = grown
+		last := len(*pages) - 1
+		pg := (*pages)[last]
+		end := minInt(b.N, i+(pageBytes-len(pg))/size)
+		for ; i < end; i++ {
+			var h uint64
+			if hcol != nil {
+				h = uint64(hcol[i])
+			} else {
+				h = HashKeys(b, j.BuildKeyCols, i)
+			}
+			off := len(pg)
+			pg = pg[:off+size]
+			j.Layout.PackRow(pg[off:], h, b, j.BuildCols, i)
 		}
-		a = a[:off+size]
-		j.Layout.PackRow(a[off:], h, b, j.BuildCols, i)
+		(*pages)[last] = pg
 	}
-	s.arenas[ctx.Worker] = a
 	j.Meter.AddWrite(int64(b.N) * int64(size))
 }
 
-// Close implements exec.Sink: concatenates the arenas and builds the
-// chaining directory in parallel with CAS inserts; each insert also ORs its
-// Bloom tag into the directory word.
+// Close implements exec.Sink: gathers the workers' pages into one list and
+// builds the chaining directory over them in parallel with CAS inserts, one
+// task per page; each insert also ORs its Bloom tag into the directory word.
+// The rows stay where Consume packed them.
 func (s *HashBuildSink) Close() {
 	j := s.J
 	size := j.Layout.Size
-	total := 0
-	offs := make([]int, len(s.arenas)+1)
-	for i, a := range s.arenas {
-		offs[i] = total
-		total += len(a)
+	for w, pgs := range j.wpages {
+		j.pages = append(j.pages, pgs...)
+		j.wpages[w] = nil
+		for _, pg := range pgs {
+			j.n += len(pg) / size
+		}
 	}
-	offs[len(s.arenas)] = total
-	j.Gov.MustGrant(int64(total))
-	j.rows = make([]byte, total)
-	parallelFor(len(s.arenas), len(s.arenas), func(_, i int) {
-		copy(j.rows[offs[i]:], s.arenas[i])
-	})
-	// The worker arenas die here; return their capacity to the governor.
-	for _, a := range s.arenas {
-		j.Gov.Release(int64(cap(a)))
-	}
-	j.n = total / size
-	j.Meter.AddWrite(int64(total))
-
-	dirSize := 8
-	for dirSize < 2*j.n {
-		dirSize <<= 1
-	}
-	j.Gov.MustGrant(int64(dirSize)*8 + int64(j.n)*16)
-	j.dir = make([]uint64, dirSize)
-	j.entries = make([]bhjEntry, j.n)
-	mask := uint64(dirSize - 1)
-	chunks := (j.n + storage.MorselSize - 1) / storage.MorselSize
-	parallelFor(chunks, maxInt(len(s.arenas), 1), func(_, c int) {
-		start := c * storage.MorselSize
-		end := minInt(start+storage.MorselSize, j.n)
-		for i := start; i < end; i++ {
-			h := j.Layout.Hash(j.rows[i*size:])
-			j.entries[i].hash = h
-			slot := &j.dir[h&mask]
+	nd, slots := dirWords(j.n), len(j.pages)<<j.shift
+	j.dir = getPage(&wordPages, nd)[:nd]
+	j.next = getPage(&linkPages, slots)[:slots]
+	j.Gov.MustGrant(j.tableBytes(j.n, len(j.pages)))
+	clear(j.dir)
+	mask := uint64(nd - 1)
+	parallelFor(len(j.pages), maxInt(len(j.wpages), 1), func(_, p int) {
+		pg := j.pages[p]
+		slot := p << j.shift
+		for off := 0; off < len(pg); off += size {
+			h := j.Layout.Hash(pg[off:])
+			word := &j.dir[h&mask]
 			for {
-				old := atomic.LoadUint64(slot)
-				j.entries[i].next = int32(old&bhjIdxMask) - 1
-				word := (old &^ bhjIdxMask) | tagBit(h) | uint64(i+1)
-				if atomic.CompareAndSwapUint64(slot, old, word) {
+				old := atomic.LoadUint64(word)
+				j.next[slot] = int32(old&bhjIdxMask) - 1
+				if atomic.CompareAndSwapUint64(word, old, (old&^bhjIdxMask)|tagBit(h)|uint64(slot+1)) {
 					break
 				}
 			}
+			slot++
 		}
 	})
-	j.Meter.AddWrite(int64(dirSize)*8 + int64(j.n)*16)
+	j.Meter.AddWrite(int64(nd)*8 + int64(j.n)*4)
 	if j.Kind.needsMatchedFlags() {
-		j.matched = make([]uint32, (j.n+31)/32)
+		j.matched = make([]uint32, (slots+31)/32)
 	}
-	s.arenas = nil
 }
 
 // NumBuildRows reports the build-side cardinality after the build closed.
@@ -274,6 +317,8 @@ func (o *HashProbeOp) Process(ctx *exec.Ctx, b *exec.Batch) {
 	}
 	size := j.Layout.Size
 	mask := uint64(len(j.dir) - 1)
+	pages, next, shift := j.pages, j.next, j.shift
+	rowMask := int32(1)<<shift - 1
 	var hcol []int64
 	if j.ProbeHashCol >= 0 {
 		hcol = b.Vecs[j.ProbeHashCol].I64
@@ -310,21 +355,11 @@ func (o *HashProbeOp) Process(ctx *exec.Ctx, b *exec.Batch) {
 	var matches int64
 	// Stage the directory words for a group of rows before walking any
 	// chains: the group's loads are independent, so their cache misses
-	// overlap (Config.ProbeStage, same scheme as the radix join phase).
-	stage := j.Stage
-	if stage <= 0 {
-		stage = 16
-	}
-	if stage > probeStageMax {
-		stage = probeStageMax
-	}
-	var stH [probeStageMax]uint64
-	var stWord [probeStageMax]uint64
-	for base := 0; base < b.N; base += stage {
-		g := stage
-		if base+g > b.N {
-			g = b.N - base
-		}
+	// overlap (probeStage, same scheme as the radix join phase).
+	var stH [probeStage]uint64
+	var stWord [probeStage]uint64
+	for base := 0; base < b.N; base += probeStage {
+		g := min(probeStage, b.N-base)
 		if hcol != nil {
 			for k := 0; k < g; k++ {
 				h := uint64(hcol[base+k])
@@ -346,25 +381,24 @@ func (o *HashProbeOp) Process(ctx *exec.Ctx, b *exec.Batch) {
 			if word&tagBit(h) != 0 {
 				idx := int32(word&bhjIdxMask) - 1
 				for idx >= 0 {
-					e := &j.entries[idx]
-					if e.hash == h {
-						brow := j.rows[int(idx)*size : (int(idx)+1)*size]
-						if j.Layout.KeyEqualBatch(brow, b, j.ProbeKeyCols, i) &&
-							(j.Residual == nil || j.Residual(brow, b, i)) {
-							hit = true
-							matches++
-							switch j.Kind {
-							case Inner, RightOuter:
-								emit(brow, i, 1)
-							case LeftOuter:
-								markBit(j.matched, idx)
-								emit(brow, i, 1)
-							case LeftSemi, LeftAnti:
-								markBit(j.matched, idx)
-							}
+					off := int(idx&rowMask) * size
+					brow := pages[idx>>shift][off : off+size]
+					if j.Layout.Hash(brow) == h &&
+						j.Layout.KeyEqualBatch(brow, b, j.ProbeKeyCols, i) &&
+						(j.Residual == nil || j.Residual(brow, b, i)) {
+						hit = true
+						matches++
+						switch j.Kind {
+						case Inner, RightOuter:
+							emit(brow, i, 1)
+						case LeftOuter:
+							markBit(j.matched, idx)
+							emit(brow, i, 1)
+						case LeftSemi, LeftAnti:
+							markBit(j.matched, idx)
 						}
 					}
-					idx = e.next
+					idx = next[idx]
 				}
 			}
 			switch j.Kind {
@@ -429,17 +463,13 @@ type UnmatchedBuildSource struct {
 	WantMatched bool
 }
 
-// Tasks implements exec.Source.
-func (s *UnmatchedBuildSource) Tasks() int {
-	return (s.J.n + storage.MorselSize - 1) / storage.MorselSize
-}
+// Tasks implements exec.Source: one task per build page.
+func (s *UnmatchedBuildSource) Tasks() int { return len(s.J.pages) }
 
 // Emit implements exec.Source.
 func (s *UnmatchedBuildSource) Emit(ctx *exec.Ctx, task int, out exec.Operator) {
 	j := s.J
 	size := j.Layout.Size
-	start := task * storage.MorselSize
-	end := minInt(start+storage.MorselSize, j.n)
 	var ts []storage.Type
 	for _, c := range j.BuildOut {
 		ts = append(ts, j.Layout.Types[c])
@@ -447,12 +477,14 @@ func (s *UnmatchedBuildSource) Emit(ctx *exec.Ctx, task int, out exec.Operator) 
 	ts = append(ts, s.ProbeTypes...)
 	b := ctx.ScratchBatch(ts, nil)
 	b.Reset()
-	for i := start; i < end; i++ {
-		matched := j.matched[i/32]&(1<<(i%32)) != 0
+	pg := j.pages[task]
+	slot := task << j.shift
+	for off := 0; off < len(pg); off, slot = off+size, slot+1 {
+		matched := j.matched[slot/32]&(1<<(slot%32)) != 0
 		if matched != s.WantMatched {
 			continue
 		}
-		row := j.rows[i*size : (i+1)*size]
+		row := pg[off : off+size]
 		for k, c := range j.BuildOut {
 			j.Layout.AppendCol(&b.Vecs[k], row, c)
 		}

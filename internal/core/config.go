@@ -62,32 +62,16 @@ type Config struct {
 	// BloomDisableRate is the pass-rate threshold above which the
 	// adaptive filter switches off.
 	BloomDisableRate float64
-
-	// ProbeStage is the software prefetch-distance of the join-phase
-	// probe loop: probe rows are hashed in groups of this size and each
-	// group's first hash-table entry is loaded before any row's probe
-	// walk starts, so the random cache misses of a group overlap instead
-	// of serializing (group prefetching in the AMAC/NOCAP sense — Go has
-	// no prefetch intrinsic, so the staged loads themselves provide the
-	// memory-level parallelism). 0 picks the default; 1 disables staging.
-	ProbeStage int
 }
 
-// probeStageMax bounds the staging group so its buffers stay register/L1
-// resident (3 small arrays per worker).
-const probeStageMax = 64
-
-// probeStage clamps the configured probe staging distance.
-func (c *Config) probeStage() int {
-	s := c.ProbeStage
-	if s <= 0 {
-		s = 16
-	}
-	if s > probeStageMax {
-		s = probeStageMax
-	}
-	return s
-}
+// probeStage is the software prefetch distance of both probe loops (the
+// radix join phase and the BHJ probe): probe rows are hashed in groups of
+// this size and each group's first hash-table load is issued before any
+// row's walk starts, so the random cache misses of a group overlap instead
+// of serializing (group prefetching in the AMAC/NOCAP sense — Go has no
+// prefetch intrinsic, so the staged loads themselves provide the
+// memory-level parallelism). The group's buffers stay in registers/L1.
+const probeStage = 16
 
 // DefaultConfig returns the tuning used throughout the evaluation.
 func DefaultConfig() Config {

@@ -119,7 +119,7 @@ func TestPagedPartPreservesRowsAcrossPages(t *testing.T) {
 		chunk := make([]byte, rows*rowSize)
 		rng.Read(chunk)
 		want = append(want, chunk...)
-		p.write(chunk, rowSize, 128, getPage)
+		p.write(chunk, rowSize, 128, func(n int) []byte { return getPage(&bytePages, n) })
 	}
 	var got []byte
 	for _, pg := range p.pages {

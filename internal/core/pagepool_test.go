@@ -14,14 +14,16 @@ import (
 
 	"partitionjoin/internal/core"
 	"partitionjoin/internal/exec"
+	"partitionjoin/internal/faultinject"
 	"partitionjoin/internal/meter"
 	"partitionjoin/internal/plan"
 	"partitionjoin/internal/storage"
 )
 
-// These tests drive the radix join through the planner (hence the external
-// test package) with the page pool's poison hook on: a page that is put
-// twice, or read after it was put, shows up as a wrong join result.
+// These tests drive the radix join and the BHJ through the planner (hence the
+// external test package) with the page pools' poison hook on: a page, a
+// directory or a link array that is put twice, or read after it was put,
+// shows up as a wrong join result.
 
 var allKinds = []core.JoinKind{
 	core.Inner, core.Semi, core.Anti, core.Mark,
@@ -52,9 +54,9 @@ func strTables(nBuild, nProbe int, keyRange int64) (build, probe *storage.Table)
 }
 
 // strJoin joins the two tables on key = fkey where bval <> pval. With strs
-// the string columns ride along as payload; partition pages whose rows carry
-// strings are not recycled after the join phase (RadixJoin.retire), so the
-// integer-only shape is the one that exercises that reuse.
+// the string columns ride along as payload; pages whose rows carry strings
+// are not recycled after the join (RadixJoin.retire, HashJoin.Release), so
+// the integer-only shape is the one that exercises that reuse.
 func strJoin(build, probe *storage.Table, kind core.JoinKind, strs bool) *plan.JoinNode {
 	j := &plan.JoinNode{
 		ID: 1, Kind: kind,
@@ -293,6 +295,171 @@ func TestJoinedStringsOutliveThePartition(t *testing.T) {
 	}
 }
 
+// TestBHJMatchesRadixJoinOnPooledPages is the differential over the BHJ's
+// pooled build pages, directory and links: for every join kind, with integer
+// payloads (whose pages go back to the pool after each query) and string
+// payloads, on one and two workers, three BHJ runs in a row equal the radix
+// join. The build side spans a few dozen pages; LeftOuter, LeftSemi and
+// LeftAnti read them again after the probe.
+func TestBHJMatchesRadixJoinOnPooledPages(t *testing.T) {
+	defer core.PoisonPages()()
+	build, probe := strTables(30000, 60000, 40000)
+	for _, kind := range allKinds {
+		for _, ints := range []bool{true, false} {
+			node := strJoin(build, probe, kind, !ints)
+			ref, err := plan.ExecuteErr(context.Background(), joinOpts(plan.RJ), node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sortedRows(ref)
+			if len(want) == 0 {
+				t.Fatalf("%v: empty reference; the comparison would be vacuous", kind)
+			}
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%v/ints=%v/workers=%d", kind, ints, workers), func(t *testing.T) {
+					opts := joinOpts(plan.BHJ)
+					opts.Workers = workers
+					for run := 0; run < 3; run++ {
+						res, err := plan.ExecuteErr(context.Background(), opts, node)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := sortedRows(res); !slices.Equal(got, want) {
+							t.Fatalf("run %d: %d rows, want %d (or same count, different rows)", run, len(got), len(want))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// keepStrs is an operator downstream of a join that holds on to the string
+// slices of column 0 it is given, without copying them.
+type keepStrs struct{ strs [][]byte }
+
+func (o *keepStrs) Process(_ *exec.Ctx, b *exec.Batch) {
+	o.strs = append(o.strs, b.Vecs[0].Str[:b.N]...)
+}
+
+func (o *keepStrs) Flush(*exec.Ctx) {}
+
+// TestBHJStringsOutliveTheTable is TestJoinedStringsOutliveThePartition for
+// the BHJ: the probe emits a string build column as slices into the build
+// pages, and whatever holds them keeps them after the query released its
+// table, so those pages must never go back to the pool.
+func TestBHJStringsOutliveTheTable(t *testing.T) {
+	defer core.PoisonPages()()
+	const n = 20000 // ten pages of 32-byte rows
+	build := exec.NewBatch([]storage.Type{storage.Int64, storage.String}, []int{0, 15})
+	probe := exec.NewBatch([]storage.Type{storage.Int64}, nil)
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("s%d", i)
+		build.Vecs[0].I64 = append(build.Vecs[0].I64, int64(i))
+		build.Vecs[1].Str = append(build.Vecs[1].Str, []byte(want[i]))
+		probe.Vecs[0].I64 = append(probe.Vecs[0].I64, int64(i))
+	}
+	build.N, probe.N = n, n
+	j := &core.HashJoin{
+		Kind: core.Inner, Layout: core.LayoutFor(build, []int{0, 1}, []int{0}),
+		BuildCols: []int{0, 1}, BuildKeyCols: []int{0}, BuildHashCol: -1,
+		ProbeKeyCols: []int{0}, ProbeHashCol: -1, BuildOut: []int{1},
+	}
+	ctx := &exec.Ctx{Workers: 1}
+	sink := j.BuildSink()
+	sink.Open(1)
+	sink.Consume(ctx, build)
+	sink.Close()
+	kept := &keepStrs{}
+	op := j.ProbeOp(kept)
+	op.Process(ctx, probe)
+	op.Flush(ctx)
+	j.Release()
+	got := make([]string, len(kept.strs))
+	for i, s := range kept.strs {
+		got[i] = string(s)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d strings kept, want %d (or same count, different strings)", len(got), n)
+	}
+}
+
+// TestBHJReturnsEveryPageOnce traces every pooled buffer — build pages,
+// directory, links — through a BHJ that completes, one cancelled mid-probe
+// and one whose probe panics: each buffer the query took goes back to its
+// pool exactly once, however the query ended. Integer payloads, so no page
+// is left to the garbage collector.
+func TestBHJReturnsEveryPageOnce(t *testing.T) {
+	faultinject.FailOnLeak(t)
+	defer core.PoisonPages()()
+	build, probe := strTables(30000, 4*storage.MorselSize, 40000)
+	// Morsel visits: one for the build side, then the probe morsels; the
+	// fault fires on the second probe morsel, with the first one probed.
+	const midProbe = 2
+	for _, kind := range []core.JoinKind{core.Inner, core.LeftOuter} {
+		node := strJoin(build, probe, kind, false)
+		for _, end := range []string{"completes", "cancelled", "panics"} {
+			t.Run(kind.String()+"/"+end, func(t *testing.T) {
+				opts := joinOpts(plan.BHJ)
+				opts.Workers = 2
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				switch end {
+				case "cancelled":
+					faultinject.Arm(t, exec.MorselSite, faultinject.Fault{
+						Kind: faultinject.Stall, Stall: time.Minute, After: midProbe})
+					go func() {
+						for faultinject.Triggers(exec.MorselSite) == 0 && ctx.Err() == nil {
+							time.Sleep(time.Millisecond)
+						}
+						cancel()
+					}()
+				case "panics":
+					faultinject.Arm(t, exec.MorselSite, faultinject.Fault{
+						Kind: faultinject.Panic, After: midProbe, Once: true})
+				}
+				stop := core.TracePages()
+				_, err := plan.ExecuteErr(ctx, opts, node)
+				bad, out := stop()
+				if (err == nil) != (end == "completes") {
+					t.Fatalf("query %s with error %v", end, err)
+				}
+				if bad != 0 || out != 0 {
+					t.Fatalf("%d buffers handed out twice or put back unheld, %d never put back", bad, out)
+				}
+			})
+		}
+	}
+}
+
+// TestHashJoinSteadyStateAllocation pins what building the BHJ on pooled
+// pages buys: once the pools are warm, a BHJ allocates a fraction of its
+// build rows, where an arena-and-copy build allocates several times them.
+func TestHashJoinSteadyStateAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of all puts under the race detector")
+	}
+	const nBuild, nProbe, rowSize = 200000, 200000, 32 // hash, key, payload: 24 B padded to 32
+	root := countJoin(nBuild, nProbe)
+	opts := joinOpts(plan.BHJ)
+	opts.Workers = 2
+	// sync.Pool caches are per P: a directory put back on one P and asked
+	// for on another is a miss, and one 4 MiB miss in five runs is half the
+	// bound. One P takes that out of the measurement; what is left (about
+	// 150 KB a run) is a tenth of the bound, and an arena-and-copy build
+	// (about 31 MB) fails it by 20x.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perRun := steadyAlloc(t, opts, root, nProbe)
+	rows := uint64(nBuild * rowSize)
+	if limit := rows / 4; perRun > limit {
+		t.Fatalf("steady-state BHJ allocates %d B per run, want <= %d B (a quarter of the build rows' %d B)",
+			perRun, limit, rows)
+	}
+}
+
 // TestRadixJoinSteadyStateAllocation pins what recycling partition pages
 // buys: once the pool is warm, a radix join allocates a fraction of its
 // partitions, not both sides' partitions over again.
@@ -301,6 +468,23 @@ func TestRadixJoinSteadyStateAllocation(t *testing.T) {
 		t.Skip("sync.Pool drops a quarter of all puts under the race detector")
 	}
 	const nBuild, nProbe, rowSize = 20000, 320000, 32 // hash, key, payload: 24 B padded to 32
+	opts := joinOpts(plan.RJ)
+	opts.Workers = 2
+	perRun := steadyAlloc(t, opts, countJoin(nBuild, nProbe), nProbe)
+	// sync.Pool caches pages per P, so a worker that changes P (or loses its
+	// core to another process) misses and allocates a fresh page now and
+	// then. A quarter of both sides' partition bytes leaves room for those
+	// misses and still fails by 4x a join that re-allocates every page.
+	both := uint64((nBuild + nProbe) * rowSize)
+	if limit := both / 4; perRun > limit {
+		t.Fatalf("steady-state radix join allocates %d B per run, want <= %d B (a quarter of both sides' %d B)",
+			perRun, limit, both)
+	}
+}
+
+// countJoin counts the matches of an integer key-payload join where every
+// probe row has exactly one build partner.
+func countJoin(nBuild, nProbe int) plan.Node {
 	intTable := func(name string, n int) *storage.Table {
 		t := storage.NewTable(name, storage.NewSchema(
 			storage.ColumnDef{Name: "k", Type: storage.Int64},
@@ -314,24 +498,28 @@ func TestRadixJoinSteadyStateAllocation(t *testing.T) {
 		return t
 	}
 	build, probe := intTable("build", nBuild), intTable("probe", nProbe)
-	root := plan.GroupBy(&plan.JoinNode{
+	return plan.GroupBy(&plan.JoinNode{
 		ID: 1, Kind: core.Inner,
 		Build: plan.Scan(build, "k", "v"), Probe: plan.Scan(probe, "k", "v"),
 		BuildKeys: []string{"k"}, ProbeKeys: []string{"k"}, BuildPay: []string{"v"},
 	}, nil, plan.AggExpr{Kind: exec.AggCount, As: "n"})
-	opts := joinOpts(plan.RJ)
-	opts.Workers = 2
+}
+
+// steadyAlloc runs root once to fill the page pools, then reports the bytes
+// each of five further runs allocates, checking each count is want.
+func steadyAlloc(t *testing.T, opts plan.Options, root plan.Node, want int64) uint64 {
+	t.Helper()
 	run := func() {
 		res, err := plan.ExecuteErr(context.Background(), opts, root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := res.Result.Vecs[0].I64[0]; n != nProbe {
-			t.Fatalf("count %d, want %d", n, nProbe)
+		if n := res.Result.Vecs[0].I64[0]; n != want {
+			t.Fatalf("count %d, want %d", n, want)
 		}
 	}
 	// A collection empties part of the pool (an idle pool is garbage), which
-	// is by design but not the steady state this test pins.
+	// is by design but not the steady state these tests pin.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run() // fills the pool
 	var before, after runtime.MemStats
@@ -341,14 +529,5 @@ func TestRadixJoinSteadyStateAllocation(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	// sync.Pool caches pages per P, so a worker that changes P (or loses its
-	// core to another process) misses and allocates a fresh page now and
-	// then. A quarter of both sides' partition bytes leaves room for those
-	// misses and still fails by 4x a join that re-allocates every page.
-	both := uint64((nBuild + nProbe) * rowSize)
-	if limit := both / 4; perRun > limit {
-		t.Fatalf("steady-state radix join allocates %d B per run, want <= %d B (a quarter of both sides' %d B)",
-			perRun, limit, both)
-	}
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }

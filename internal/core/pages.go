@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -15,27 +16,54 @@ type pagedPart struct {
 	rows  int64
 }
 
-// maxPageBytes caps the geometric page growth.
+// maxPageBytes caps the geometric page growth and is the largest pooled
+// capacity, counted in elements (bytes for byte pages).
 const (
 	maxPageClass = 22
 	maxPageBytes = 1 << maxPageClass
 )
 
-// pagePool recycles partition memory across queries: one sync.Pool per
+// pagePool recycles query memory across queries: one sync.Pool per
 // power-of-two capacity. A page has one owner (a worker's pagedPart, a
-// Partitions slot, a join task) from getPage until that owner calls putPage.
-// Pages are append-only, so need no zeroing; an idle pool is garbage the
-// runtime drops, so it has no capacity setting, and the bytes a query holds
-// stay charged to that query's governor.
-var pagePool [maxPageClass + 1]sync.Pool
+// Partitions slot, a join task, a hash join's table) from getPage until that
+// owner calls putPage. Byte pages are append-only and directory words are
+// cleared by their user, so the pool zeroes nothing; an idle pool is garbage
+// the runtime drops, so it has no capacity setting, and the pages a query
+// holds stay charged to that query's governor.
+type pagePool[T any] struct {
+	classes [maxPageClass + 1]sync.Pool
+	poison  T // what putPage fills a returned page with under poisonPages
+}
+
+var (
+	// bytePages holds radix partition pages and BHJ build pages.
+	bytePages = pagePool[byte]{poison: 0xFF}
+	// wordPages holds BHJ directories; a poisoned word carries every tag
+	// and a chain head past every table.
+	wordPages = pagePool[uint64]{poison: ^uint64(bhjIdxMask) | math.MaxInt32}
+	// linkPages holds BHJ chain links; a poisoned link ends its chain.
+	linkPages = pagePool[int32]{poison: -1}
+)
 
 // poisonPages makes putPage overwrite returned pages, so a test sees a
 // double put or a use after put as a wrong answer. Set only by tests.
 var poisonPages bool
 
+// PoisonPages switches the page pools' test hook (see poisonPages) on and
+// returns a function restoring the previous setting. For tests only.
+func PoisonPages() (restore func()) {
+	old := poisonPages
+	poisonPages = true
+	return func() { poisonPages = old }
+}
+
+// pageTrace, when set by a test, sees every pooled page getPage hands out
+// (out) and every one putPage takes back (!out), by its first element.
+var pageTrace func(first any, out bool)
+
 // pageCap is the capacity of the page getPage(n) returns: n rounded up to
 // a power of two, or n itself beyond the largest size class (one oversized
-// partition), which is a plain allocation.
+// partition or table), which is a plain allocation.
 func pageCap(n int) int {
 	if n <= 0 || n > maxPageBytes {
 		return maxInt(n, 0)
@@ -43,36 +71,49 @@ func pageCap(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// getPage returns an empty page of capacity pageCap(n).
-func getPage(n int) []byte {
+// getPage returns an empty page of capacity pageCap(n) from pool.
+func getPage[T any](pool *pagePool[T], n int) []T {
 	c := pageCap(n)
-	if c > 0 && c <= maxPageBytes {
-		if p, _ := pagePool[bits.Len(uint(c))-1].Get().(*[]byte); p != nil {
-			return *p
-		}
+	if c == 0 || c > maxPageBytes {
+		return make([]T, 0, c)
 	}
-	return make([]byte, 0, c)
+	var pg []T
+	if p, _ := pool.classes[bits.Len(uint(c))-1].Get().(*[]T); p != nil {
+		pg = *p
+	} else {
+		pg = make([]T, 0, c)
+	}
+	if pageTrace != nil {
+		pageTrace(&pg[:1][0], true)
+	}
+	return pg
 }
 
-// putPage gives a page back. The caller must hold no reference into it.
-func putPage(pg []byte) {
+// putPage gives a page back to pool. The caller must hold no reference into
+// it.
+func putPage[T any](pool *pagePool[T], pg []T) {
 	c := cap(pg)
 	if c == 0 || c&(c-1) != 0 || c > maxPageBytes {
 		return
 	}
 	pg = pg[:0]
+	if pageTrace != nil {
+		pageTrace(&pg[:1][0], false)
+	}
 	if poisonPages {
-		for i := range pg[:c] {
-			pg[:c][i] = 0xFF
+		full := pg[:c]
+		full[0] = pool.poison
+		for n := 1; n < c; n *= 2 {
+			copy(full[n:], full[:n])
 		}
 	}
-	pagePool[bits.Len(uint(c))-1].Put(&pg)
+	pool.classes[bits.Len(uint(c))-1].Put(&pg)
 }
 
-// putPages returns every page of a chunk list.
+// putPages returns every byte page of a chunk list.
 func putPages(pages [][]byte) {
 	for _, pg := range pages {
-		putPage(pg)
+		putPage(&bytePages, pg)
 	}
 }
 

@@ -332,7 +332,7 @@ func (s *RadixSink) sampleBatch(st *adapt.JoinState, b *exec.Batch) {
 	}
 }
 
-// ConsumePacked ingests already-packed rows — the BHJ build arenas during
+// ConsumePacked ingests already-packed rows — the BHJ build pages during
 // an adaptive migration. Every packed row carries its hash at offset 0, so
 // the rows re-scatter into pass-1 partitions without touching the key
 // columns or re-hashing, which is what makes the mid-build migration a

@@ -382,7 +382,7 @@ func (j *RadixJoin) compact(chunks [][]byte) []byte {
 // page takes a page of capacity >= n from the pool and charges the query's
 // governor for what it now holds: the page's capacity.
 func (j *RadixJoin) page(n int) []byte {
-	pg := getPage(n)
+	pg := getPage(&bytePages, n)
 	j.Gov.MustGrant(int64(cap(pg)))
 	return pg
 }
@@ -525,16 +525,15 @@ func (s *PartitionJoinSource) joinPartition(ctx *exec.Ctx, out exec.Operator, bp
 	bKeyOff := bl.Offs[bl.KeyCols[0]]
 	pKeyOff := pl.Offs[pl.KeyCols[0]]
 	cancelled := false
-	// Prefetch-distance staging (Cfg.ProbeStage): hash a group of probe
-	// rows and load each one's first hash-table entry before any row's
-	// probe walk begins. The staged loads are independent, so the group's
-	// random cache misses overlap — software memory-level parallelism in
-	// place of a prefetch intrinsic — and the walk then starts from the
+	// Prefetch-distance staging (probeStage): hash a group of probe rows
+	// and load each one's first hash-table entry before any row's probe
+	// walk begins. The staged loads are independent, so the group's random
+	// cache misses overlap — software memory-level parallelism in place of
+	// a prefetch intrinsic — and the walk then starts from the
 	// already-resident staged entry.
-	stage := j.Cfg.probeStage()
-	var stHash [probeStageMax]uint64
-	var stSlot [probeStageMax]uint32
-	var stEnt [probeStageMax]rhEntry
+	var stHash [probeStage]uint64
+	var stSlot [probeStage]uint32
+	var stEnt [probeStage]rhEntry
 	probe(func(ppart []byte) {
 		if cancelled {
 			return
@@ -542,11 +541,8 @@ func (s *PartitionJoinSource) joinPartition(ctx *exec.Ctx, out exec.Operator, bp
 		np := len(ppart) / pl.Size
 		j.StatProbeRows.Add(int64(np))
 		ctx.Meter.AddRead(int64(len(ppart)))
-		for base := 0; base < np; base += stage {
-			g := stage
-			if base+g > np {
-				g = np - base
-			}
+		for base := 0; base < np; base += probeStage {
+			g := min(probeStage, np-base)
 			for k := 0; k < g; k++ {
 				h := pl.Hash(ppart[(base+k)*pl.Size:])
 				slot := rhSlot(h) & mask

@@ -1,6 +1,6 @@
 // Package govern implements the per-query memory governor: an atomic
 // allocation accountant with a configurable budget. Operators Grant bytes
-// before materializing partition pages, hash-table arenas, or group tables
+// before materializing partition pages, hash tables, or group tables
 // and Release them when the memory is dropped; planners consult the live
 // account (WouldExceed) to degrade gracefully — the radix join sheds
 // fan-out bits and, past a floor, the planner falls back to the

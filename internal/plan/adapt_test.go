@@ -93,8 +93,11 @@ func staticRows(t *testing.T, opts Options, node Node) [][]int64 {
 
 // Differential over every join kind for the first trigger path: a BHJ
 // build that outgrows its budget mid-build migrates to radix partitions
-// and must produce the static plan's rows bit-for-bit.
+// and must produce the static plan's rows bit-for-bit. The page pools'
+// poison hook is on, so a drained build page read after it went back to
+// the pool shows up as a wrong answer.
 func TestAdaptiveMigrationMatchesStatic(t *testing.T) {
+	defer core.PoisonPages()()
 	// 60000 build rows x 24 B packed ≈ 1.4 MiB ≈ 5.6x the 256 KiB budget:
 	// the projected close-time footprint crosses the budget a few morsels
 	// into the build, well before it completes.

@@ -124,6 +124,7 @@ type compiler struct {
 	spillDir  *spill.Dir        // non-nil when Options.SpillDir is set
 	spills    []*core.JoinSpill
 	radix     []*core.RadixJoin // every radix join compiled, for the unwind sweep
+	hashJoins []*core.HashJoin  // every BHJ compiled, released after the query
 	workers   int               // resolved driver parallelism (never <= 0)
 	pipelines []*exec.Pipeline
 	harvests  []func()

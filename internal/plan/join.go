@@ -175,8 +175,8 @@ func (c *compiler) compileJoin(n *JoinNode) *pipe {
 			BuildOut:     buildOut,
 			Meter:        c.opts.Meter,
 			Gov:          c.gov,
-			Stage:        c.opts.Core.ProbeStage,
 		}
+		c.hashJoins = append(c.hashJoins, j)
 		if len(n.ResidualNe) > 0 {
 			probeVecs := resolveAll(pp.cols, resProbe)
 			bl := buildLayout

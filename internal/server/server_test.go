@@ -714,15 +714,10 @@ func TestConcurrentSessionsSoak(t *testing.T) {
 // with no queueing slack, so any arrival that cannot run at once is shed
 // and every shed client must recover by retrying with the server's
 // suggested backoff. The result cache is off: cached replays skip the
-// broker, and a warmed workload would then never contend.
+// broker, and a warmed workload would then never contend. The overload is
+// made, not left to timing: the test holds both slots until the first
+// arrivals have been shed.
 func TestServeSoak32Clients(t *testing.T) {
-	// Shedding needs requests to genuinely interleave: with a single P and
-	// sub-millisecond queries, handler goroutines run back to back and no
-	// arrival ever finds both admission slots busy. Two Ps timeshare even a
-	// one-core host preemptively, which restores the overlap.
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
 	const clients, iters = 32, 5
 	broker := admit.NewBroker(admit.Config{
 		GlobalMem:       32 << 20,
@@ -754,6 +749,22 @@ func TestServeSoak32Clients(t *testing.T) {
 		}
 	}
 
+	held := make([]*admit.Reservation, 2)
+	for i := range held {
+		r, _, err := broker.Admit(ctx, 0)
+		if err != nil {
+			t.Fatalf("holding admission slot %d: %v", i, err)
+		}
+		held[i] = r
+	}
+	release := sync.OnceFunc(func() {
+		for _, r := range held {
+			r.Release()
+		}
+	})
+	defer release()
+	shedBefore := broker.Sheds()
+
 	var completed, sheds, hits atomic.Int64
 	var wg sync.WaitGroup
 	for ci := 0; ci < clients; ci++ {
@@ -775,6 +786,11 @@ func TestServeSoak32Clients(t *testing.T) {
 			}
 		}(ci)
 	}
+	deadline := time.Now().Add(10 * time.Second)
+	for broker.Sheds() == shedBefore && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	release()
 	wg.Wait()
 	if want := int64(clients * iters); completed.Load() != want {
 		t.Fatalf("completed %d queries, want %d", completed.Load(), want)
