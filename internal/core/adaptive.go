@@ -243,25 +243,40 @@ func (s *PartitionJoinSource) emitSplit(ctx *exec.Ctx, out exec.Operator, pid in
 	}
 	j.Adapt.BeginSplit(pid, bBytes/int64(bl.Size), k)
 	shift := uint(j.Cfg.Pass1Bits + j.b2)
-	bsub := j.scatterSub(bl, bch, shift, 1<<k)
-	psub := j.scatterSub(pl, pch, shift, 1<<k)
-	for i := range bsub {
+	bsub, psub := make([]pagedPart, 1<<k), make([]pagedPart, 1<<k)
+	// The task owns the chunks until they are scattered and each sub-pair
+	// until joinChunks takes it: a failure part-way hands back what it
+	// still holds.
+	next := 0
+	defer func() {
+		j.free(bch...)
+		j.free(pch...)
+		for i := next; i < len(bsub); i++ {
+			j.free(bsub[i].pages...)
+			j.free(psub[i].pages...)
+		}
+	}()
+	j.scatterSub(bl, bch, shift, bsub)
+	j.free(bch...)
+	bch = nil
+	j.scatterSub(pl, pch, shift, psub)
+	j.free(pch...)
+	pch = nil
+	for next < len(bsub) {
+		i := next
+		next++
 		s.joinChunks(ctx, out, bsub[i].pages, psub[i].pages)
 	}
 }
 
 // scatterSub scatters one partition's packed rows by hash bits
-// shift..shift+log2(nsub)-1 into pooled pages, which replace — and free —
-// the chunks.
-func (j *RadixJoin) scatterSub(l *Layout, chunks [][]byte, shift uint, nsub int) []pagedPart {
-	sub := make([]pagedPart, nsub)
+// shift..shift+log2(len(sub))-1 into pooled pages appended to sub.
+func (j *RadixJoin) scatterSub(l *Layout, chunks [][]byte, shift uint, sub []pagedPart) {
 	take := j.page
 	for _, part := range chunks {
 		for off := 0; off < len(part); off += l.Size {
 			row := part[off : off+l.Size]
-			sub[int(l.Hash(row)>>shift)&(nsub-1)].write(row, l.Size, j.Cfg.PageBytes, take)
+			sub[int(l.Hash(row)>>shift)&(len(sub)-1)].write(row, l.Size, j.Cfg.PageBytes, take)
 		}
 	}
-	j.free(chunks...)
-	return sub
 }

@@ -111,27 +111,25 @@ func (j *HashJoin) tableBytes(n, pages int) int64 {
 // page takes a build page from the pool and charges the query's governor for
 // its capacity.
 func (j *HashJoin) page() []byte {
-	pg := getPage(&bytePages, j.Layout.Size<<j.shift)
-	j.Gov.MustGrant(int64(cap(pg)))
+	n := j.Layout.Size << j.shift
+	j.Gov.MustGrant(int64(pageCap(n)))
 	j.taken.Add(1)
-	return pg
+	return getPage(&bytePages, n)
 }
 
 // Release returns the table's pooled memory once the query is over, however
 // it ended: the directory and the links always, the build pages only when
 // the layout has no string column. Emitted strings are slices into the
-// rows, which the garbage collector then keeps for as long as a result
-// holds them (the rule of RadixJoin.retire). No worker of the query may
-// still run.
+// rows, so pages with strings are forgotten instead: the garbage collector
+// keeps them for as long as a result holds them (the rule of
+// RadixJoin.retire). No worker of the query may still run.
 func (j *HashJoin) Release() {
 	putPage(&wordPages, j.dir)
 	putPage(&linkPages, j.next)
-	if !j.Layout.HasStringCols() {
-		for _, pgs := range j.wpages {
-			putPages(pgs)
-		}
-		putPages(j.pages)
+	for _, pgs := range j.wpages {
+		letGo(j.Layout, pgs...)
 	}
+	letGo(j.Layout, j.pages...)
 	j.dir, j.next, j.wpages, j.pages = nil, nil, nil, nil
 }
 

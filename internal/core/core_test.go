@@ -3,11 +3,17 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"partitionjoin/internal/exec"
+	"partitionjoin/internal/faultinject"
+	"partitionjoin/internal/govern"
 	"partitionjoin/internal/hashx"
+	"partitionjoin/internal/spill"
 	"partitionjoin/internal/storage"
 )
 
@@ -134,6 +140,7 @@ func TestPagedPartPreservesRowsAcrossPages(t *testing.T) {
 	if p.rows != int64(len(want)/rowSize) {
 		t.Fatalf("row count %d, want %d", p.rows, len(want)/rowSize)
 	}
+	putPages(p.pages)
 }
 
 func TestSWWCBSetFlushesWholeRows(t *testing.T) {
@@ -366,6 +373,55 @@ func TestRadixPartitioningInvariants(t *testing.T) {
 	}
 }
 
+// TestDiscardAfterFailedClose: a radix sink whose first worker took no rows,
+// and whose Close fails on its last allocation (in pass 2), still gives every
+// page back exactly once through Discard. Close lists its live workers apart
+// from s.workers; compacting in place would leave worker 1 in both slots.
+func TestDiscardAfterFailedClose(t *testing.T) {
+	faultinject.FailOnLeak(t)
+	cfg := DefaultConfig()
+	cfg.CacheBudget = 1 << 10 // force a second pass
+	consume := func() *RadixJoin {
+		j := testJoinPair(cfg)
+		j.Gov = govern.New(0)
+		j.BuildSink.Open(2)
+		b := exec.NewBatch([]storage.Type{storage.Int64, storage.Int64}, nil)
+		for i := 0; i < 20000; i++ {
+			b.Vecs[0].I64 = append(b.Vecs[0].I64, int64(i))
+			b.Vecs[1].I64 = append(b.Vecs[1].I64, int64(i))
+		}
+		b.N = 20000
+		j.BuildSink.Consume(&exec.Ctx{Worker: 1, Workers: 2}, b)
+		return j
+	}
+	// Count Close's grants, then fail the last one.
+	j := consume()
+	faultinject.Enable(govern.GrantSite, faultinject.Fault{Kind: faultinject.Stall})
+	j.BuildSink.Close()
+	grants := faultinject.Triggers(govern.GrantSite)
+	faultinject.Disable(govern.GrantSite)
+	if j.BuildSink.Out.B2 == 0 {
+		t.Fatal("no second pass; the failure would not land in it")
+	}
+	j.Discard()
+
+	stop := TracePages()
+	j = consume()
+	faultinject.Arm(t, govern.GrantSite, faultinject.Fault{Kind: faultinject.Fail, After: grants - 1})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Close did not fail")
+			}
+		}()
+		j.BuildSink.Close()
+	}()
+	j.Discard()
+	if bad, out := stop(); bad != 0 || out != 0 {
+		t.Fatalf("%d pages handed out twice or given up unheld, %d never given up", bad, out)
+	}
+}
+
 func TestProbeBeforeBuildPanics(t *testing.T) {
 	j := testJoinPair(DefaultConfig())
 	defer func() {
@@ -451,5 +507,96 @@ func TestMarkBitConcurrent(t *testing.T) {
 		if w != ^uint32(0) {
 			t.Fatalf("word %d = %x", i, w)
 		}
+	}
+}
+
+// TestReloadReadsFramesInPlace: a spilled build side is gathered straight
+// into its pooled reload buffer, resident chunks first, and a probe run is
+// handed out frame by frame in one pooled buffer (or, copyFrames, in a
+// buffer per frame); a frame damaged on disk or torn off the end of its
+// file is still an error naming the file and the frame.
+func TestReloadReadsFramesInPlace(t *testing.T) {
+	const rowSize = 16
+	dir, err := spill.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Cleanup()
+	f, err := dir.File("j1-p003.build")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	rows := func(n int) []byte {
+		b := make([]byte, n*rowSize)
+		rng.Read(b)
+		return b
+	}
+	resident := rows(5)
+	want := append([]byte(nil), resident...)
+	var frames [][]byte
+	for _, n := range []int{40, 100, 7} {
+		fr := rows(n)
+		frames = append(frames, fr)
+		want = append(want, fr...)
+		if err := f.Append(fr, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := &exec.Ctx{}
+	src := &spillSrc{file: f, resident: [][]byte{resident}, rowSize: rowSize}
+	buf := getPage(&bytePages, int(src.bytes()))
+	defer putPage(&bytePages, buf)
+	got, err := src.gather(ctx, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) || &got[0] != &buf[:1][0] {
+		t.Fatalf("gathered %d bytes (in the reload buffer: %v), want %d", len(got), &got[0] == &buf[:1][0], len(want))
+	}
+
+	for _, copyFrames := range []bool{false, true} {
+		src.copyFrames = copyFrames
+		var chunks [][]byte
+		if err := src.each(ctx, func(c []byte) { chunks = append(chunks, c) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) != 4 {
+			t.Fatalf("each yielded %d chunks, want the resident one and 3 frames", len(chunks))
+		}
+		// The pooled frame buffer is reused for every frame, so only the
+		// last frame is still in it; private copies keep every frame.
+		for i, fr := range frames {
+			if keeps := copyFrames || i == len(frames)-1; keeps && string(chunks[i+1]) != string(fr) {
+				t.Fatalf("copyFrames=%v: frame %d differs", copyFrames, i)
+			}
+		}
+		if shared := &chunks[1][0] == &chunks[2][0]; shared == copyFrames {
+			t.Fatalf("copyFrames=%v: frames 0 and 1 share a buffer: %v", copyFrames, shared)
+		}
+	}
+
+	// Damage frame 1 on disk, then tear frame 2 off the end of the file.
+	path := filepath.Join(dir.Path(), "j1-p003.build")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame1 := 8 + len(frames[0]) + 8
+	raw[frame1+9] ^= 0x04
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.gather(ctx, buf); err == nil || !strings.Contains(err.Error(), "j1-p003.build frame 1: checksum mismatch") {
+		t.Fatalf("damaged frame: err = %v, want a checksum error naming file and frame", err)
+	}
+	raw[frame1+9] ^= 0x04
+	if err := os.WriteFile(path, raw[:len(raw)-30], 0o600); err != nil {
+		t.Fatal(err)
+	}
+	src.copyFrames = false
+	if err := src.each(ctx, func([]byte) {}); err == nil ||
+		!strings.Contains(err.Error(), "j1-p003.build frame 2:") {
+		t.Fatalf("torn frame: err = %v, want an error naming file and frame", err)
 	}
 }

@@ -3,8 +3,8 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -15,8 +15,10 @@ import (
 	"partitionjoin/internal/core"
 	"partitionjoin/internal/exec"
 	"partitionjoin/internal/faultinject"
+	"partitionjoin/internal/govern"
 	"partitionjoin/internal/meter"
 	"partitionjoin/internal/plan"
+	"partitionjoin/internal/spill"
 	"partitionjoin/internal/storage"
 )
 
@@ -435,24 +437,144 @@ func TestBHJReturnsEveryPageOnce(t *testing.T) {
 	}
 }
 
+// TestEveryQueryHandsBackItsPages is the conservation property of the page
+// pools: however a query ends — it completes, fails on an allocation or a
+// disk fault, is cancelled, or panics — every page it took leaves the pools'
+// books exactly once, put back or (rows with strings that a result may
+// point into) forgotten, so every size class has as many pages out after
+// the query as before it. BHJ, RJ in one and in two passes, BRJ and a
+// spilling RJ, each with integer and with string payloads.
+func TestEveryQueryHandsBackItsPages(t *testing.T) {
+	faultinject.FailOnLeak(t)
+	defer core.PoisonPages()()
+	build, probe := strTables(30000, 4*storage.MorselSize, 40000)
+	type ending struct {
+		name   string
+		site   string
+		fault  faultinject.Fault
+		cancel bool // cancel the query once the fault has fired
+	}
+	// Morsel visits: one for the build side, then the probe morsels; the
+	// faults fire on the second probe morsel, with the first one through.
+	const midProbe = 2
+	for _, shape := range []struct {
+		name    string
+		algo    plan.JoinAlgo
+		twoPass bool // a cache budget far below the build side
+		spill   bool
+	}{
+		{name: "BHJ", algo: plan.BHJ},
+		{name: "RJ", algo: plan.RJ},
+		{name: "RJ two passes", algo: plan.RJ, twoPass: true},
+		{name: "BRJ", algo: plan.BRJ},
+		{name: "RJ spilling", algo: plan.RJ, spill: true},
+	} {
+		for _, ints := range []bool{true, false} {
+			node := strJoin(build, probe, core.Inner, !ints)
+			opts := joinOpts(shape.algo)
+			opts.Workers = 2
+			if shape.twoPass {
+				opts.Core.CacheBudget = 4 << 10
+			}
+			if shape.spill {
+				opts.MemBudget, opts.SpillDir = 256<<10, t.TempDir()
+			}
+			// A counting run places the allocation failures early, midway
+			// and late among the query's governor grants.
+			faultinject.Enable(govern.GrantSite, faultinject.Fault{Kind: faultinject.Stall})
+			_, err := plan.ExecuteErr(context.Background(), opts, node)
+			grants := faultinject.Triggers(govern.GrantSite)
+			faultinject.Disable(govern.GrantSite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			endings := []ending{{name: "completes"}}
+			for _, at := range []struct {
+				name  string
+				grant int64
+			}{{"early", grants / 8}, {"midway", grants / 2}, {"late", grants * 7 / 8}} {
+				endings = append(endings, ending{name: "allocation fails " + at.name, site: govern.GrantSite,
+					fault: faultinject.Fault{Kind: faultinject.Fail, After: at.grant}})
+			}
+			endings = append(endings,
+				ending{name: "cancelled mid-probe", site: exec.MorselSite, cancel: true,
+					fault: faultinject.Fault{Kind: faultinject.Stall, Stall: time.Minute, After: midProbe}},
+				ending{name: "panics mid-probe", site: exec.MorselSite,
+					fault: faultinject.Fault{Kind: faultinject.Panic, After: midProbe, Once: true}})
+			if shape.algo != plan.BHJ {
+				// The join phase stalls without watching the context: each
+				// partition task past the third waits a little, and the
+				// cancellation lands during the first of them.
+				slow := faultinject.Fault{Kind: faultinject.Stall, Stall: 20 * time.Millisecond, After: 3}
+				endings = append(endings,
+					ending{name: "cancelled mid-join", site: core.JoinEmitSite, fault: slow, cancel: true},
+					ending{name: "panics mid-join", site: core.JoinEmitSite,
+						fault: faultinject.Fault{Kind: faultinject.Panic, After: 3, Once: true}})
+			}
+			if shape.spill {
+				endings = append(endings,
+					ending{name: "fails on a corrupt frame", site: spill.CorruptSite,
+						fault: faultinject.Fault{Kind: faultinject.Fail, Once: true}},
+					ending{name: "panics mid-reload", site: core.ReloadSite,
+						fault: faultinject.Fault{Kind: faultinject.Panic, Once: true}})
+			}
+			for _, end := range endings {
+				t.Run(fmt.Sprintf("%s/ints=%v/%s", shape.name, ints, end.name), func(t *testing.T) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					if end.site != "" {
+						faultinject.Arm(t, end.site, end.fault)
+					}
+
+					if end.cancel {
+						go func() {
+							for faultinject.Triggers(end.site) == 0 && ctx.Err() == nil {
+								time.Sleep(time.Millisecond)
+							}
+							cancel()
+						}()
+					}
+					before := core.PagesOut()
+					stop := core.TracePages()
+					_, err := plan.ExecuteErr(ctx, opts, node)
+					for err == nil && end.site == govern.GrantSite && end.fault.After > 0 {
+						// A query's grants vary a little with the morsels
+						// each worker claims (the BRJ's adaptive filter
+						// decides per worker): this one had no grant left
+						// to fail, so fail an earlier one.
+						end.fault.After /= 2
+						faultinject.Enable(end.site, end.fault)
+						_, err = plan.ExecuteErr(ctx, opts, node)
+					}
+					bad, out := stop()
+					if (err == nil) != (end.site == "") {
+						t.Fatalf("query ended with error %v (fault fired %d times)", err, faultinject.Triggers(end.site))
+					}
+					if bad != 0 || out != 0 {
+						t.Fatalf("%d pages handed out twice or given up unheld, %d never given up", bad, out)
+					}
+					if after := core.PagesOut(); !maps.Equal(after, before) {
+						t.Fatalf("pages out by size class: %v before the query, %v after", before, after)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestHashJoinSteadyStateAllocation pins what building the BHJ on pooled
 // pages buys: once the pools are warm, a BHJ allocates a fraction of its
 // build rows, where an arena-and-copy build allocates several times them.
+// The pools keep what a query gave back however the scheduler moved its
+// workers and whenever the garbage collector ran, so what is left (about
+// 150 KB a run) is a tenth of the bound, and an arena-and-copy build (about
+// 31 MB) fails it by 20x.
 func TestHashJoinSteadyStateAllocation(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of all puts under the race detector")
-	}
 	const nBuild, nProbe, rowSize = 200000, 200000, 32 // hash, key, payload: 24 B padded to 32
 	root := countJoin(nBuild, nProbe)
 	opts := joinOpts(plan.BHJ)
 	opts.Workers = 2
-	// sync.Pool caches are per P: a directory put back on one P and asked
-	// for on another is a miss, and one 4 MiB miss in five runs is half the
-	// bound. One P takes that out of the measurement; what is left (about
-	// 150 KB a run) is a tenth of the bound, and an arena-and-copy build
-	// (about 31 MB) fails it by 20x.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	perRun := steadyAlloc(t, opts, root, nProbe)
+	perRun, _ := steadyAlloc(t, opts, root, nProbe)
 	rows := uint64(nBuild * rowSize)
 	if limit := rows / 4; perRun > limit {
 		t.Fatalf("steady-state BHJ allocates %d B per run, want <= %d B (a quarter of the build rows' %d B)",
@@ -462,23 +584,40 @@ func TestHashJoinSteadyStateAllocation(t *testing.T) {
 
 // TestRadixJoinSteadyStateAllocation pins what recycling partition pages
 // buys: once the pool is warm, a radix join allocates a fraction of its
-// partitions, not both sides' partitions over again.
+// partitions, not both sides' partitions over again. A quarter of both
+// sides' partition bytes fails by 4x a join that re-allocates every page.
 func TestRadixJoinSteadyStateAllocation(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of all puts under the race detector")
-	}
 	const nBuild, nProbe, rowSize = 20000, 320000, 32 // hash, key, payload: 24 B padded to 32
 	opts := joinOpts(plan.RJ)
 	opts.Workers = 2
-	perRun := steadyAlloc(t, opts, countJoin(nBuild, nProbe), nProbe)
-	// sync.Pool caches pages per P, so a worker that changes P (or loses its
-	// core to another process) misses and allocates a fresh page now and
-	// then. A quarter of both sides' partition bytes leaves room for those
-	// misses and still fails by 4x a join that re-allocates every page.
+	perRun, _ := steadyAlloc(t, opts, countJoin(nBuild, nProbe), nProbe)
 	both := uint64((nBuild + nProbe) * rowSize)
 	if limit := both / 4; perRun > limit {
 		t.Fatalf("steady-state radix join allocates %d B per run, want <= %d B (a quarter of both sides' %d B)",
 			perRun, limit, both)
+	}
+}
+
+// TestSpillSteadyStateAllocation pins the spill path on pooled pages: once
+// the pools are warm, a radix join that spills most of both sides and reads
+// them back allocates a small share of the bytes it reloads. Each spilled
+// build side is read straight into a pooled reload buffer and each probe
+// run into one pooled frame buffer; a reader that grows a private buffer
+// per run and copies the build frames into a fresh one allocates about as
+// many bytes as it reloads.
+func TestSpillSteadyStateAllocation(t *testing.T) {
+	const nBuild, nProbe = 60000, 240000
+	opts := joinOpts(plan.RJ)
+	opts.Workers = 2
+	opts.MemBudget, opts.SpillDir = 256<<10, t.TempDir()
+	perRun, res := steadyAlloc(t, opts, countJoin(nBuild, nProbe), nProbe)
+	reloaded := uint64(res.Spill.ReloadedBytes)
+	if reloaded == 0 {
+		t.Fatalf("nothing was reloaded (peak %d B): %v", res.MemPeak, res.Degraded)
+	}
+	if limit := reloaded / 5; perRun > limit {
+		t.Fatalf("steady-state spilling radix join allocates %d B per run, want <= %d B (a fifth of the %d B it reloads)",
+			perRun, limit, reloaded)
 	}
 }
 
@@ -506,21 +645,20 @@ func countJoin(nBuild, nProbe int) plan.Node {
 }
 
 // steadyAlloc runs root once to fill the page pools, then reports the bytes
-// each of five further runs allocates, checking each count is want.
-func steadyAlloc(t *testing.T, opts plan.Options, root plan.Node, want int64) uint64 {
+// each of five further runs allocates, checking each count is want, and
+// the last run's result.
+func steadyAlloc(t *testing.T, opts plan.Options, root plan.Node, want int64) (uint64, *plan.ExecResult) {
 	t.Helper()
+	var res *plan.ExecResult
 	run := func() {
-		res, err := plan.ExecuteErr(context.Background(), opts, root)
-		if err != nil {
+		var err error
+		if res, err = plan.ExecuteErr(context.Background(), opts, root); err != nil {
 			t.Fatal(err)
 		}
 		if n := res.Result.Vecs[0].I64[0]; n != want {
 			t.Fatalf("count %d, want %d", n, want)
 		}
 	}
-	// A collection empties part of the pool (an idle pool is garbage), which
-	// is by design but not the steady state these tests pin.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run() // fills the pool
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -529,5 +667,5 @@ func steadyAlloc(t *testing.T, opts plan.Options, root plan.Node, want int64) ui
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / runs
+	return (after.TotalAlloc - before.TotalAlloc) / runs, res
 }

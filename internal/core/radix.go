@@ -178,9 +178,10 @@ func (s *RadixSink) spillPartition(w *pass1Worker, p1 int) {
 		bytes += int64(len(pg))
 	}
 	sp.recordSpill(p1, s.Side, part.rows, bytes)
-	pages := part.pages
-	*part = pagedPart{}
-	s.Join.free(pages...)
+	// The page list keeps its backing array for the pages to come.
+	s.Join.free(part.pages...)
+	clear(part.pages)
+	part.pages, part.rows = part.pages[:0], 0
 }
 
 // Open implements exec.Sink.
@@ -362,7 +363,9 @@ func (s *RadixSink) ConsumePacked(ctx *exec.Ctx, data []byte) {
 // The BRJ's build side fills the Bloom filter in whichever pass is its last.
 func (s *RadixSink) Close() {
 	gov := s.gov()
-	live := s.workers[:0]
+	// A list of its own: compacting s.workers in place would leave a worker
+	// in two slots for Discard, should Close fail part-way.
+	live := make([]*pass1Worker, 0, len(s.workers))
 	for _, w := range s.workers {
 		if w == nil {
 			continue
@@ -384,7 +387,10 @@ func (s *RadixSink) Close() {
 			}
 		}
 	}
+	// Out from the start, so Discard finds the partitions written so far
+	// should Close fail part-way.
 	out := &Partitions{Layout: s.Layout, B1: s.Cfg.Pass1Bits}
+	s.Out = out
 	for _, w := range live {
 		for p := range w.parts {
 			out.Rows += w.parts[p].rows
@@ -401,7 +407,6 @@ func (s *RadixSink) Close() {
 	if sp != nil {
 		out.Rows += sp.spilledRowsTotal(s.Side)
 	}
-	s.Out = out
 	s.workers = nil
 }
 
@@ -513,7 +518,15 @@ func (s *RadixSink) pass2(out *Partitions, live []*pass1Worker) {
 		}
 		sw, cur, flush := l.sw, l.cur, l.flush
 		for p2 := range cur {
-			cur[p2] = s.Join.page(int(hist[p1*f2+p2]) * rowSize)
+			cur[p2] = nil
+			if n := int(hist[p1*f2+p2]) * rowSize; n > 0 {
+				// In out as soon as it is taken, so Discard finds it
+				// should the query fail part-way.
+				pid := p1 | p2<<shift
+				cur[p2] = s.Join.page(n)
+				backing[pid] = cur[p2]
+				out.parts[pid] = backing[pid : pid+1 : pid+1]
+			}
 		}
 		for _, w := range live {
 			pages := w.parts[p1].pages
@@ -538,9 +551,8 @@ func (s *RadixSink) pass2(out *Partitions, live []*pass1Worker) {
 		}
 		sw.drain(flush)
 		for p2, chunk := range cur {
-			if pid := p1 | p2<<shift; len(chunk) > 0 {
-				backing[pid] = chunk
-				out.parts[pid] = backing[pid : pid+1 : pid+1]
+			if len(chunk) > 0 {
+				backing[p1|p2<<shift] = chunk
 			}
 		}
 	})

@@ -345,17 +345,23 @@ func (s *PartitionJoinSource) Emit(ctx *exec.Ctx, pid int, out exec.Operator) {
 	s.joinChunks(ctx, out, bch, pch)
 }
 
-// joinChunks joins one resident partition pair and retires its chunks.
+// joinChunks joins one resident partition pair and retires its chunks —
+// deferred, so a task that fails part-way still hands them back.
 func (s *PartitionJoinSource) joinChunks(ctx *exec.Ctx, out exec.Operator, bch, pch [][]byte) {
 	j := s.J
+	defer func() {
+		j.retire(j.BuildSink.Layout, bch...)
+		j.retire(j.ProbeSink.Layout, pch...)
+	}()
 	bpart := j.compact(bch)
+	if len(bch) > 1 {
+		bch = append(bch[:0], bpart)
+	}
 	s.joinPartition(ctx, out, bpart, func(yield func(ppart []byte)) {
 		for _, c := range pch {
 			yield(c)
 		}
 	})
-	j.retire(j.BuildSink.Layout, bpart)
-	j.retire(j.ProbeSink.Layout, pch...)
 }
 
 // compact returns a build partition's rows as one contiguous chunk (the
@@ -380,11 +386,11 @@ func (j *RadixJoin) compact(chunks [][]byte) []byte {
 }
 
 // page takes a page of capacity >= n from the pool and charges the query's
-// governor for what it now holds: the page's capacity.
+// governor for what it then holds: the page's capacity. The charge comes
+// first, so a failed grant leaves no page in limbo.
 func (j *RadixJoin) page(n int) []byte {
-	pg := getPage(&bytePages, n)
-	j.Gov.MustGrant(int64(cap(pg)))
-	return pg
+	j.Gov.MustGrant(int64(pageCap(n)))
+	return getPage(&bytePages, n)
 }
 
 // free returns chunks whose rows nothing references any more to the page
@@ -404,13 +410,11 @@ func (j *RadixJoin) release(chunks [][]byte) {
 // String columns are emitted as slices into the row (Layout.AppendCol), and
 // an operator downstream may buffer such a slice until its pipeline flushes,
 // long after this partition: chunks with string columns are therefore left
-// to the garbage collector, which keeps them while anything points into them.
+// to the garbage collector, which keeps them while anything points into them
+// (letGo).
 func (j *RadixJoin) retire(l *Layout, chunks ...[]byte) {
-	if l.HasStringCols() {
-		j.release(chunks)
-		return
-	}
-	j.free(chunks...)
+	j.release(chunks)
+	letGo(l, chunks...)
 }
 
 // Discard returns the pages of a query that unwound (cancelled, failed)

@@ -71,7 +71,7 @@ type JoinSpill struct {
 
 	mu      sync.Mutex
 	spilled map[int]bool // pass-1 partition ids, both sides
-	rows    map[string]int64
+	runs    map[sideRun]*spillRun
 	stats   SpillStats
 
 	// reloadMu serializes spilled-partition processing in the join phase
@@ -85,8 +85,21 @@ type JoinSpill struct {
 func NewJoinSpill(dir *spill.Dir, gov *govern.Governor, m *meter.Meter, joinID int) *JoinSpill {
 	return &JoinSpill{
 		dir: dir, gov: gov, meter: m, joinID: joinID,
-		spilled: make(map[int]bool), rows: make(map[string]int64),
+		spilled: make(map[int]bool), runs: make(map[sideRun]*spillRun),
 	}
+}
+
+// sideRun names one side of a pass-1 partition.
+type sideRun struct {
+	p1   int
+	side string
+}
+
+// spillRun is the depth-0 run of one side of a partition and the rows it
+// holds.
+type spillRun struct {
+	file *spill.File
+	rows int64
 }
 
 // Stats returns a snapshot of the spill counters.
@@ -152,19 +165,29 @@ func (sp *JoinSpill) runName(p1 int, side string, depth, sub int) string {
 // file returns the run file for (p1, side) at recursion depth 0, creating
 // it on first use.
 func (sp *JoinSpill) file(p1 int, side string) (*spill.File, error) {
-	return sp.dir.File(sp.runName(p1, side, 0, 0))
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	k := sideRun{p1, side}
+	if r := sp.runs[k]; r != nil {
+		return r.file, nil
+	}
+	f, err := sp.dir.File(sp.runName(p1, side, 0, 0))
+	if err != nil {
+		return nil, err
+	}
+	sp.runs[k] = &spillRun{file: f}
+	return f, nil
 }
 
-// lookup returns the depth-0 run file if it exists (nil when that side of
-// the partition never spilled any rows).
+// lookup returns the depth-0 run file, nil when that side of the partition
+// never spilled any rows.
 func (sp *JoinSpill) lookup(p1 int, side string) *spill.File {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if !sp.spilled[p1] {
-		return nil
+	if r := sp.runs[sideRun{p1, side}]; r != nil {
+		return r.file
 	}
-	f, _ := sp.dir.File(sp.runName(p1, side, 0, 0))
-	return f
+	return nil
 }
 
 // recordSpill accounts one eviction of a partition's pages to disk and
@@ -178,20 +201,13 @@ func (sp *JoinSpill) recordSpill(p1 int, side string, rows, bytes int64) {
 	if first {
 		sp.stats.Partitions++
 	}
-	sp.rows[sideKey(p1, side)] += rows
+	sp.runs[sideRun{p1, side}].rows += rows
 	sp.stats.SpilledBytes += bytes
 	sp.mu.Unlock()
 	if first {
 		sp.gov.Note("join %d: partition %d spilled to disk (%s side first, %d B)",
 			sp.joinID, p1, side, bytes)
 	}
-}
-
-// spilledRows returns how many rows of the given side spilled for p1.
-func (sp *JoinSpill) spilledRows(p1 int, side string) int64 {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.rows[sideKey(p1, side)]
 }
 
 // spilledRowsTotal returns all spilled rows of one side across partitions.
@@ -203,12 +219,12 @@ func (sp *JoinSpill) spilledRowsTotal(side string) int64 {
 	defer sp.mu.Unlock()
 	var n int64
 	for p1 := range sp.spilled {
-		n += sp.rows[sideKey(p1, side)]
+		if r := sp.runs[sideRun{p1, side}]; r != nil {
+			n += r.rows
+		}
 	}
 	return n
 }
-
-func sideKey(p1 int, side string) string { return fmt.Sprintf("%d/%s", p1, side) }
 
 // grantReload accounts a reload working set and tracks the peak-overshoot
 // bound reported in SpillStats.
@@ -228,14 +244,14 @@ type spillSrc struct {
 	file     *spill.File
 	resident [][]byte
 	rowSize  int
-	// copyFrames makes each hand out a private copy of every reloaded
-	// frame. Required on a probe side whose layout carries string columns:
-	// probe rows stream straight into the partition join, which emits
-	// string columns as zero-copy slices into the chunk — and the spill
-	// reader reuses its frame buffer, so an aliased string would be
-	// overwritten by the next frame. Numeric columns are decoded by value
-	// and build sides are always copied into a contiguous buffer first, so
-	// neither needs this.
+	// copyFrames makes each hand out every reloaded frame in a buffer of its
+	// own, which the garbage collector owns. Required on a probe side whose
+	// layout carries string columns: probe rows stream straight into the
+	// partition join, which emits string columns as zero-copy slices into
+	// the chunk — and each otherwise reads every frame into one pooled
+	// buffer, so an aliased string would be overwritten by the next frame.
+	// Numeric columns are decoded by value and build sides are gathered
+	// into a reload buffer (gather), so neither needs this.
 	copyFrames bool
 }
 
@@ -275,9 +291,11 @@ func (s *spillSrc) maxChunk() int64 {
 }
 
 // each yields the side's rows in chunks of whole packed rows: resident
-// sub-partitions first, then spill frames. A read failure (short read,
-// checksum mismatch) is returned verbatim — it already names the file and
-// frame. Iteration stops early when the query context is cancelled.
+// sub-partitions first, then spill frames, each read into one pooled buffer
+// of the run's largest frame (or into a buffer of its own, copyFrames), so
+// a chunk is valid until fn returns. A read failure (short read, checksum
+// mismatch) is returned verbatim — it already names the file and frame.
+// Iteration stops early when the query context is cancelled.
 func (s *spillSrc) each(ctx *exec.Ctx, fn func(chunk []byte)) error {
 	for _, part := range s.resident {
 		if ctx.Err() != nil {
@@ -290,25 +308,47 @@ func (s *spillSrc) each(ctx *exec.Ctx, fn func(chunk []byte)) error {
 	if s.file == nil {
 		return nil
 	}
+	var frame []byte
+	if !s.copyFrames {
+		frame = getPage(&bytePages, s.file.MaxFrame())
+		defer putPage(&bytePages, frame)
+	}
 	rd := s.file.NewReader()
-	for {
-		if ctx.Err() != nil {
+	for ctx.Err() == nil {
+		chunk, err := rd.AppendNext(frame)
+		if errors.Is(err, io.EOF) {
 			return nil
 		}
-		chunk, err := rd.Next()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
 			return err
 		}
 		if len(chunk) > 0 {
-			if s.copyFrames {
-				chunk = append(make([]byte, 0, len(chunk)), chunk...)
-			}
 			fn(chunk)
 		}
 	}
+	return nil
+}
+
+// gather appends all of the side's rows to buf, which must have room for
+// bytes(): resident sub-partitions are copied, spill frames are read
+// straight into buf, so each byte lands once. Errors are each's.
+func (s *spillSrc) gather(ctx *exec.Ctx, buf []byte) ([]byte, error) {
+	for _, part := range s.resident {
+		buf = append(buf, part...)
+	}
+	if s.file == nil {
+		return buf, nil
+	}
+	rd := s.file.NewReader()
+	for ctx.Err() == nil {
+		var err error
+		if buf, err = rd.AppendNext(buf); errors.Is(err, io.EOF) {
+			return buf, nil
+		} else if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // residentSubParts takes the chunks of the resident final sub-partitions of
@@ -354,11 +394,14 @@ func (s *PartitionJoinSource) emitSpilled(ctx *exec.Ctx, p1 int, out exec.Operat
 		rowSize:    j.ProbeSink.Layout.Size,
 		copyFrames: j.ProbeSink.Layout.HasStringCols(),
 	}
-	s.joinSpilledPair(ctx, out, p1, 0, bsrc, psrc)
 	// Build chunks were copied into the reload buffer; probe chunks were
-	// joined where they lie.
-	j.free(bsrc.resident...)
-	j.retire(j.ProbeSink.Layout, psrc.resident...)
+	// joined where they lie. Deferred, so a pair that fails part-way still
+	// hands its chunks back.
+	defer func() {
+		j.free(bsrc.resident...)
+		j.retire(j.ProbeSink.Layout, psrc.resident...)
+	}()
+	s.joinSpilledPair(ctx, out, p1, 0, bsrc, psrc)
 }
 
 // joinSpilledPair processes one (sub-)partition pair: reload-and-join when
@@ -388,11 +431,12 @@ func (s *PartitionJoinSource) joinSpilledPair(ctx *exec.Ctx, out exec.Operator, 
 	sp.grantReload(working)
 	defer sp.gov.Release(working)
 
-	// Reload the build side into one contiguous buffer.
-	buf := make([]byte, 0, bBytes)
-	if err := bsrc.each(ctx, func(chunk []byte) {
-		buf = append(buf, chunk...)
-	}); err != nil {
+	// Reload the build side into one contiguous pooled buffer, which the
+	// join's results may point into as the partition pages they replace.
+	buf := getPage(&bytePages, int(bBytes))
+	defer letGo(j.BuildSink.Layout, buf)
+	buf, err := bsrc.gather(ctx, buf)
+	if err != nil {
 		panic(fmt.Errorf("core: reload of join %d partition %d build side: %w", sp.joinID, p1, err))
 	}
 	if ctx.Err() != nil {
@@ -453,6 +497,11 @@ func (s *PartitionJoinSource) recurseSpilled(ctx *exec.Ctx, out exec.Operator, p
 		}
 		sp.grantReload(int64(nsub * stageCap))
 		defer sp.gov.Release(int64(nsub * stageCap))
+		defer func() {
+			for _, pg := range stage {
+				putPage(&bytePages, pg)
+			}
+		}()
 		flush := func(sub int) {
 			if len(stage[sub]) == 0 {
 				return
@@ -477,7 +526,7 @@ func (s *PartitionJoinSource) recurseSpilled(ctx *exec.Ctx, out exec.Operator, p
 				row := chunk[off : off+layout.Size]
 				sub := int(layout.Hash(row)>>shift) & (nsub - 1)
 				if stage[sub] == nil {
-					stage[sub] = make([]byte, 0, stageCap)
+					stage[sub] = getPage(&bytePages, stageCap)
 				}
 				stage[sub] = append(stage[sub], row...)
 				if len(stage[sub]) >= stageCap {

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"partitionjoin/internal/core"
@@ -211,19 +212,7 @@ func resultRows(r *exec.Result) [][]int64 {
 }
 
 func sortRows(rows [][]int64) {
-	less := func(a, b []int64) bool {
-		for i := range a {
-			if a[i] != b[i] {
-				return a[i] < b[i]
-			}
-		}
-		return false
-	}
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && less(rows[j], rows[j-1]); j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
+	slices.SortFunc(rows, slices.Compare[[]int64])
 }
 
 func rowsEqual(a, b [][]int64) bool {

@@ -861,7 +861,10 @@ type ServerStats struct {
 	ResultCache *ResultCacheStats `json:"result_cache,omitempty"`
 	// BufferPool is absent when the server is not backed by a column store.
 	BufferPool *BufferPoolStats `json:"buffer_pool,omitempty"`
-	Queries    struct {
+	// PagePool is the process's pooled query memory: join pages kept idle
+	// for reuse, pages running queries hold, and pages the pool allocated.
+	PagePool core.PagePoolStats `json:"page_pool"`
+	Queries  struct {
 		Total      int64 `json:"total"`
 		Active     int64 `json:"active"`
 		OK         int64 `json:"ok"`
@@ -909,6 +912,7 @@ func (s *Server) Stats() ServerStats {
 		ps := s.cfg.BufferPool.Stats()
 		st.BufferPool = &BufferPoolStats{PoolStats: ps, HitRate: ps.HitRate()}
 	}
+	st.PagePool = core.PagePool()
 	st.Queries.Total = s.counters.Total.Load()
 	st.Queries.Active = s.counters.Active.Load()
 	st.Queries.OK = s.counters.OK.Load()

@@ -207,6 +207,41 @@ func TestQueryAndPlanCacheDifferential(t *testing.T) {
 	}
 }
 
+// TestStatszReportsThePagePool: the page pool keeps the pages a query gave
+// back, on purpose, so /statsz shows them: after a join has finished its
+// pages are idle in the pool and none is out, and the pool has counted the
+// pages it had to allocate.
+func TestStatszReportsThePagePool(t *testing.T) {
+	h := newHarness(t, server.Config{NoResultCache: true}, testCatalog())
+	ctx := context.Background()
+	if _, err := h.client().Query(ctx, joinCount); err != nil {
+		t.Fatal(err)
+	}
+	st, err := h.client().Statsz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp := st.PagePool; pp.IdleBytes == 0 || pp.OutBytes != 0 || pp.Misses == 0 {
+		t.Fatalf("page_pool = %+v after a join, want idle pages, none out, and the misses that allocated them", pp)
+	}
+	resp, err := h.ts.Client().Get(h.base + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		PagePool map[string]json.Number `json:"page_pool"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"idle_bytes", "out_bytes", "misses"} {
+		if _, ok := doc.PagePool[k]; !ok {
+			t.Fatalf("/statsz page_pool = %v, missing %q", doc.PagePool, k)
+		}
+	}
+}
+
 func TestPlanCacheInvalidationOnRegisterTable(t *testing.T) {
 	h := newHarness(t, server.Config{}, testCatalog())
 	cl := h.client()

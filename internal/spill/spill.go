@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -310,6 +311,7 @@ type File struct {
 	bytes    int64 // payload bytes
 	rows     int64
 	maxFrame int
+	hdr      [frameHeaderSize]byte // Append's header scratch, under mu
 }
 
 // Name returns the file's name within its Dir.
@@ -355,7 +357,7 @@ func (f *File) Append(payload []byte, rows int) error {
 	if err := faultinject.ErrAt(WriteSite); err != nil {
 		return fmt.Errorf("spill: write %s frame %d: %w", f.name, f.frames, err)
 	}
-	var hdr [frameHeaderSize]byte
+	hdr := f.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	if err := faultinject.ErrAt(CorruptSite); err != nil && len(payload) > 0 {
@@ -365,7 +367,7 @@ func (f *File) Append(payload []byte, rows int) error {
 		bad[len(bad)/2] ^= 0x40
 		payload = bad
 	}
-	if _, err := f.f.Write(hdr[:]); err != nil {
+	if _, err := f.f.Write(hdr); err != nil {
 		return fmt.Errorf("spill: write %s frame %d: %w", f.name, f.frames, err)
 	}
 	if _, err := f.f.Write(payload); err != nil {
@@ -416,55 +418,68 @@ type Reader struct {
 	f     *File
 	off   int64
 	frame int
-	buf   []byte
+	hdr   [frameHeaderSize]byte
 }
 
 // NewReader returns a reader positioned at the first frame.
 func (f *File) NewReader() *Reader { return &Reader{f: f} }
 
-// Next returns the payload of the next frame, valid until the following
-// call. It returns io.EOF after the last frame; a truncated or corrupted
-// frame is an error naming the file and frame index.
-func (r *Reader) Next() ([]byte, error) {
+// AppendNext reads the payload of the next frame into the free capacity of
+// dst and returns dst extended by it. dst grows only when it lacks the room,
+// so a caller that sizes it by MaxFrame (or by Bytes, to gather a whole run)
+// reads every frame in place; AppendNext(nil) returns a fresh buffer of
+// exactly the frame. The checksum is verified on the bytes where they land.
+// It returns io.EOF after the last frame; a truncated or corrupted frame is
+// an error naming the file and frame index.
+func (r *Reader) AppendNext(dst []byte) ([]byte, error) {
 	f := r.f
 	f.mu.Lock()
 	osf, end := f.f, f.woff
 	f.mu.Unlock()
 	if r.off == end {
-		return nil, io.EOF
+		return dst, io.EOF
 	}
 	if osf == nil {
-		return nil, fmt.Errorf("spill: read %s frame %d: file closed", f.name, r.frame)
+		return dst, fmt.Errorf("spill: read %s frame %d: file closed", f.name, r.frame)
 	}
 	if err := faultinject.ErrAt(ReadSite); err != nil {
-		return nil, fmt.Errorf("spill: read %s frame %d: short read: %w", f.name, r.frame, err)
+		return dst, fmt.Errorf("spill: read %s frame %d: short read: %w", f.name, r.frame, err)
 	}
-	var hdr [frameHeaderSize]byte
+	hdr := r.hdr[:]
 	if r.off+frameHeaderSize > end {
-		return nil, fmt.Errorf("spill: read %s frame %d: truncated header (%d bytes past offset %d)",
+		return dst, fmt.Errorf("spill: read %s frame %d: truncated header (%d bytes past offset %d)",
 			f.name, r.frame, end-r.off, r.off)
 	}
-	if _, err := osf.ReadAt(hdr[:], r.off); err != nil {
-		return nil, fmt.Errorf("spill: read %s frame %d: %w", f.name, r.frame, err)
+	if _, err := osf.ReadAt(hdr, r.off); err != nil {
+		return dst, r.readErr(err)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[0:]))
 	want := binary.LittleEndian.Uint32(hdr[4:])
 	if r.off+frameHeaderSize+int64(n) > end {
-		return nil, fmt.Errorf("spill: read %s frame %d: truncated payload (%d of %d bytes)",
+		return dst, fmt.Errorf("spill: read %s frame %d: truncated payload (%d of %d bytes)",
 			f.name, r.frame, end-r.off-frameHeaderSize, n)
 	}
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
-	}
-	buf := r.buf[:n]
+	dst = slices.Grow(dst, n)
+	buf := dst[len(dst) : len(dst)+n]
 	if _, err := osf.ReadAt(buf, r.off+frameHeaderSize); err != nil {
-		return nil, fmt.Errorf("spill: read %s frame %d: %w", f.name, r.frame, err)
+		return dst, r.readErr(err)
 	}
 	if got := crc32.ChecksumIEEE(buf); got != want {
-		return nil, fmt.Errorf("spill: read %s frame %d: checksum mismatch (stored %08x, computed %08x)",
+		return dst, fmt.Errorf("spill: read %s frame %d: checksum mismatch (stored %08x, computed %08x)",
 			f.name, r.frame, want, got)
 	}
 	r.off += frameHeaderSize + int64(n)
 	r.frame++
-	return buf, nil
+	return dst[:len(dst)+n], nil
+}
+
+// readErr names the file and frame of a failed read. Running into the end
+// of the file inside a frame that was appended means the file was cut short
+// on disk; that error does not wrap io.EOF, so no caller can take it for the
+// clean end of the run.
+func (r *Reader) readErr(err error) error {
+	if errors.Is(err, io.EOF) {
+		return fmt.Errorf("spill: read %s frame %d: file cut short on disk", r.f.name, r.frame)
+	}
+	return fmt.Errorf("spill: read %s frame %d: %w", r.f.name, r.frame, err)
 }

@@ -50,7 +50,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	rd := f.NewReader()
 	for i, want := range frames {
-		got, err := rd.Next()
+		got, err := rd.AppendNext(nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -58,7 +58,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d payload mismatch", i)
 		}
 	}
-	if _, err := rd.Next(); !errors.Is(err, io.EOF) {
+	if _, err := rd.AppendNext(nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("past last frame: err = %v, want io.EOF", err)
 	}
 }
@@ -72,7 +72,7 @@ func TestIndependentReaders(t *testing.T) {
 		}
 	}
 	next := func(r *Reader) byte {
-		p, err := r.Next()
+		p, err := r.AppendNext(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,6 +83,65 @@ func TestIndependentReaders(t *testing.T) {
 	pb := next(b)
 	if pa != 0 || pa2 != 1 || pb != 0 {
 		t.Fatalf("readers share a cursor: a=%d,%d b=%d", pa, pa2, pb)
+	}
+}
+
+// AppendNext reads into the caller's buffer when it has the room: a run
+// gathered into a buffer of Bytes, or each frame into one buffer of
+// MaxFrame, lands in that buffer and allocates nothing; a damaged frame read
+// in place is still an error naming the file and the frame.
+func TestAppendNextReadsInPlace(t *testing.T) {
+	d := newTestDir(t)
+	f, _ := d.File("inplace")
+	frames := []string{"alpha", "a longer second frame", "gamma"}
+	for _, p := range frames {
+		if err := f.Append([]byte(p), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole := make([]byte, 0, f.Bytes())
+	rd := f.NewReader()
+	for {
+		var err error
+		if whole, err = rd.AppendNext(whole); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := string(whole), strings.Join(frames, ""); got != want || cap(whole) != len(want) {
+		t.Fatalf("gathered %q (cap %d), want %q in a buffer of exactly its size", got, cap(whole), want)
+	}
+	frame := make([]byte, 0, f.MaxFrame())
+	allocs := testing.AllocsPerRun(1, func() {
+		*rd = Reader{f: f} // back to the first frame
+		for i := range frames {
+			got, err := rd.AppendNext(frame[:0])
+			if err != nil || string(got) != frames[i] || &got[0] != &frame[:1][0] {
+				t.Fatalf("frame %d: %q, %v (in place: %v)", i, got, err, err == nil && &got[0] == &frame[:1][0])
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading into a MaxFrame buffer allocated %v times", allocs)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(d.Path(), "inplace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[frameHeaderSize+len(frames[0])+frameHeaderSize+2] ^= 0x10
+	if err := os.WriteFile(filepath.Join(d.Path(), "inplace"), raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	rd = f.NewReader()
+	got, err := rd.AppendNext(frame[:0])
+	if err != nil {
+		t.Fatalf("undamaged frame 0: %v", err)
+	}
+	if _, err = rd.AppendNext(got); err == nil ||
+		!strings.Contains(err.Error(), "inplace frame 1: checksum mismatch") {
+		t.Fatalf("damaged frame read in place: err = %v, want a checksum error naming file and frame", err)
 	}
 }
 
@@ -109,10 +168,10 @@ func TestOnDiskCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := f.NewReader()
-	if _, err := rd.Next(); err != nil {
+	if _, err := rd.AppendNext(nil); err != nil {
 		t.Fatalf("undamaged frame 0 failed: %v", err)
 	}
-	_, err = rd.Next()
+	_, err = rd.AppendNext(nil)
 	if err == nil {
 		t.Fatal("corrupted frame read succeeded")
 	}
@@ -136,15 +195,20 @@ func TestTruncationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := f.NewReader()
-	if _, err := rd.Next(); err != nil {
+	if _, err := rd.AppendNext(nil); err != nil {
 		t.Fatalf("intact frame: %v", err)
 	}
-	_, err := rd.Next()
+	_, err := rd.AppendNext(nil)
 	if err == nil {
 		t.Fatal("torn tail read succeeded")
 	}
 	if !strings.Contains(err.Error(), "torn frame 1") {
 		t.Fatalf("error does not name file and frame: %v", err)
+	}
+	// A caller reading to the end of the run must not take the torn frame
+	// for that end.
+	if errors.Is(err, io.EOF) {
+		t.Fatalf("torn frame error %v reads as the end of the run", err)
 	}
 }
 
@@ -301,7 +365,7 @@ func TestInjectedShortRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultinject.Arm(t, ReadSite, faultinject.Fault{Kind: faultinject.Fail, Message: "io error"})
-	_, err := f.NewReader().Next()
+	_, err := f.NewReader().AppendNext(nil)
 	if err == nil || !strings.Contains(err.Error(), "short read") {
 		t.Fatalf("want short-read error, got %v", err)
 	}
@@ -324,7 +388,7 @@ func TestInjectedCorruptionCaughtByChecksum(t *testing.T) {
 	if string(payload) != string(keep) {
 		t.Fatal("caller's buffer was modified by the injected corruption")
 	}
-	_, err := f.NewReader().Next()
+	_, err := f.NewReader().AppendNext(nil)
 	if err == nil {
 		t.Fatal("corrupted frame passed checksum verification")
 	}
@@ -336,7 +400,7 @@ func TestInjectedCorruptionCaughtByChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := f.NewReader()
-	if _, err := rd.Next(); err == nil {
+	if _, err := rd.AppendNext(nil); err == nil {
 		t.Fatal("frame 0 should still be damaged")
 	}
 }
