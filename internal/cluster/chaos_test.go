@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -149,6 +151,32 @@ func TestShardDeathOverHTTPIs503WithRetryAfter(t *testing.T) {
 	}
 	if re.Status != 503 || !re.Overloaded() || re.RetryAfter <= 0 {
 		t.Fatalf("remote error = %+v, want 503 with Retry-After", re)
+	}
+}
+
+// TestFragmentBackoffHonorsExactRetryAfter: a shard's exact backoff hint
+// (retry_after_ms) floors the fragment retry, not the whole-second
+// Retry-After header rounded up from it.
+func TestFragmentBackoffHonorsExactRetryAfter(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+		io.WriteString(w, `{"error":"admit: overloaded","query_id":"q1","retry_after_ms":200}`)
+	}))
+	defer shard.Close()
+	c, err := New(Config{Shards: []string{shard.URL}, Spec: Spec{"t": {}}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Drain(time.Second)
+	_, _, err = c.attemptFragment(context.Background(), shard.URL, "", "SELECT count(*) AS n FROM t", "q1")
+	var fe *fragError
+	if !errors.As(err, &fe) || !fe.retryable {
+		t.Fatalf("err = %v, want a retryable fragment error", err)
+	}
+	if fe.retryAfter != 200*time.Millisecond {
+		t.Fatalf("backoff floor = %v, want 200ms", fe.retryAfter)
 	}
 }
 

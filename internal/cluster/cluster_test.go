@@ -1,13 +1,19 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -395,37 +401,163 @@ func TestBadStatementIs400(t *testing.T) {
 }
 
 // TestWireCompatibleWithServerClient: the coordinator speaks the server's
-// dialect — the stock client runs plain and streamed queries against it.
+// dialect — the stock client runs plain and streamed queries against it —
+// and both surfaces answer with the same JSON shapes on the wire: the
+// document, the stream header and trailer, a 400 naming the query, and a
+// draining 503 with its backoff hint.
 func TestWireCompatibleWithServerClient(t *testing.T) {
-	h := newCluster(t, 3, nil)
+	surfaces := []struct {
+		name string
+		boot func(t *testing.T) (http.Handler, func(time.Duration) bool)
+	}{
+		{"server", func(t *testing.T) (http.Handler, func(time.Duration) bool) {
+			srv := server.New(server.Config{Workers: 1}, testCat())
+			t.Cleanup(func() { srv.Drain(10 * time.Second) })
+			return srv, srv.Drain
+		}},
+		{"coordinator", func(t *testing.T) (http.Handler, func(time.Duration) bool) {
+			h := newCluster(t, 3, nil)
+			return h.coord, h.coord.Drain
+		}},
+	}
+	for _, sf := range surfaces {
+		t.Run(sf.name, func(t *testing.T) {
+			handler, drain := sf.boot(t)
+			ts := httptest.NewServer(handler)
+			defer ts.Close()
+			cl := &server.Client{Base: ts.URL}
+
+			qr, err := cl.Query(context.Background(), `SELECT count(*) AS n FROM lineitem`)
+			if err != nil {
+				t.Fatalf("client query: %v", err)
+			}
+			want := singleNode(t, `SELECT count(*) AS n FROM lineitem`)
+			if len(qr.Rows) != 1 || fmt.Sprint(qr.Rows[0][0]) != fmt.Sprint(want.Rows[0][0]) {
+				t.Fatalf("rows = %v, want %v", qr.Rows, want.Rows)
+			}
+			if qr.QueryID == "" {
+				t.Fatal("no query id")
+			}
+
+			var streamed int
+			tr, err := cl.QueryStream(context.Background(),
+				`SELECT l_orderkey FROM lineitem WHERE l_quantity < 3`,
+				func(row []any) error { streamed++; return nil })
+			if err != nil {
+				t.Fatalf("client stream: %v", err)
+			}
+			if tr.RowCount != streamed {
+				t.Fatalf("trailer row_count %d, streamed %d", tr.RowCount, streamed)
+			}
+			if err := cl.Healthz(context.Background()); err != nil {
+				t.Fatalf("healthz: %v", err)
+			}
+
+			resp, lines := postRaw(t, ts.URL, `{"sql":"SELECT count(*) AS n FROM nation"}`)
+			wantKeys(t, "document", resp, http.StatusOK, lines[0], "cols query_id row_count rows stats")
+			resp, lines = postRaw(t, ts.URL, `{"sql":"SELECT n_name FROM nation","stream":true}`)
+			wantKeys(t, "stream header", resp, http.StatusOK, lines[0], "cols query_id")
+			wantKeys(t, "stream trailer", resp, http.StatusOK, lines[len(lines)-1], "query_id row_count stats")
+			resp, lines = postRaw(t, ts.URL, `{"sql":"SELEC nonsense"}`)
+			wantKeys(t, "bad sql", resp, http.StatusBadRequest, lines[0], "error query_id")
+
+			drain(time.Second)
+			resp, lines = postRaw(t, ts.URL, `{"sql":"SELECT count(*) AS n FROM nation"}`)
+			wantKeys(t, "draining", resp, http.StatusServiceUnavailable, lines[0], "error query_id retry_after_ms")
+			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+				t.Fatalf("draining Retry-After = %q, want >= 1", resp.Header.Get("Retry-After"))
+			}
+		})
+	}
+}
+
+// postRaw posts a /query body and returns the response with its body split
+// into non-empty lines.
+func postRaw(t *testing.T, base, body string) (*http.Response, [][]byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("post %s: %v", body, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read %s: %v", body, err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	return resp, lines
+}
+
+// wantKeys checks a response's status and the top-level keys of one of its
+// JSON lines.
+func wantKeys(t *testing.T, what string, resp *http.Response, status int, line []byte, keys string) {
+	t.Helper()
+	if resp.StatusCode != status {
+		t.Fatalf("%s: HTTP %d, want %d (%s)", what, resp.StatusCode, status, line)
+	}
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(line, &obj); err != nil {
+		t.Fatalf("%s: %v in %s", what, err, line)
+	}
+	got := make([]string, 0, len(obj))
+	for k := range obj {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if strings.Join(got, " ") != keys {
+		t.Fatalf("%s: keys %v, want %s", what, got, keys)
+	}
+}
+
+// TestHTTPQueryIDsAreConsecutive: each un-tagged HTTP query takes exactly
+// one coordinator id, so the round-robin over replicated-only queries
+// reaches every shard.
+func TestHTTPQueryIDsAreConsecutive(t *testing.T) {
+	h := newCluster(t, 2, nil)
 	ts := httptest.NewServer(h.coord)
 	defer ts.Close()
 	cl := &server.Client{Base: ts.URL}
+	for i := 1; i <= 6; i++ {
+		qr, err := cl.Query(context.Background(), `SELECT count(*) AS n FROM nation`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("c%d", i); qr.QueryID != want {
+			t.Fatalf("query %d: id %s, want %s", i, qr.QueryID, want)
+		}
+	}
+	for _, sh := range h.coord.Statsz().Shards {
+		if sh.Fragments != 3 {
+			t.Fatalf("shard fragments = %+v, want 3 on each shard", h.coord.Statsz().Shards)
+		}
+	}
+}
 
-	qr, err := cl.Query(context.Background(), `SELECT count(*) AS n FROM lineitem`)
-	if err != nil {
-		t.Fatalf("client query: %v", err)
+// TestCoordinatorStreamStopsWhenClientLeaves: a client that abandons an
+// NDJSON stream after its first rows ends the handler, and the coordinator
+// still drains clean.
+func TestCoordinatorStreamStopsWhenClientLeaves(t *testing.T) {
+	h := newCluster(t, 2, nil)
+	handlerDone := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.coord.ServeHTTP(w, r)
+		close(handlerDone)
+	}))
+	defer ts.Close()
+	cl := &server.Client{Base: ts.URL}
+	errGone := errors.New("client gone")
+	_, err := cl.QueryStream(context.Background(), `SELECT l_orderkey, l_comment FROM lineitem`,
+		func([]any) error { return errGone })
+	if !errors.Is(err, errGone) {
+		t.Fatalf("stream err = %v, want the client's own error", err)
 	}
-	want := singleNode(t, `SELECT count(*) AS n FROM lineitem`)
-	if len(qr.Rows) != 1 || fmt.Sprint(qr.Rows[0][0]) != fmt.Sprint(want.Rows[0][0]) {
-		t.Fatalf("rows = %v, want %v", qr.Rows, want.Rows)
+	select {
+	case <-handlerDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handler still streaming after the client left")
 	}
-	if qr.QueryID == "" {
-		t.Fatal("no query id")
-	}
-
-	var streamed int
-	tr, err := cl.QueryStream(context.Background(),
-		`SELECT l_orderkey FROM lineitem WHERE l_quantity < 3`,
-		func(row []any) error { streamed++; return nil })
-	if err != nil {
-		t.Fatalf("client stream: %v", err)
-	}
-	if tr.RowCount != streamed {
-		t.Fatalf("trailer row_count %d, streamed %d", tr.RowCount, streamed)
-	}
-	if err := cl.Healthz(context.Background()); err != nil {
-		t.Fatalf("healthz: %v", err)
+	if !h.coord.Drain(time.Second) {
+		t.Fatal("drain after an abandoned stream was not clean")
 	}
 }
 
@@ -441,7 +573,7 @@ func TestMergeSkipsEmptyShardSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := []colMeta{{"n", "INT64"}, {"mn", "INT64"}, {"mx", "INT64"}, {"av", "INT64"}, {avgCntAlias, "INT64"}}
+	cols := []ColMeta{{Name: "n", Type: "INT64"}, {Name: "mn", Type: "INT64"}, {Name: "mx", Type: "INT64"}, {Name: "av", Type: "INT64"}, {Name: avgCntAlias, Type: "INT64"}}
 	frags := []*fragResult{
 		{cols: cols, rows: [][]any{{int64(2), int64(5), int64(9), int64(14), int64(2)}}, tries: 1},
 		// Empty shard: count 0, sentinel min/max.

@@ -13,6 +13,7 @@ import (
 	"partitionjoin/internal/admit"
 	"partitionjoin/internal/core"
 	"partitionjoin/internal/plan"
+	"partitionjoin/internal/server"
 	"partitionjoin/internal/sql"
 )
 
@@ -140,9 +141,10 @@ const (
 	ModeGather Mode = "gather"
 )
 
-// ErrDraining is the cancel cause installed when the coordinator's drain
-// grace expires with queries still running.
-var ErrDraining = errors.New("cluster: coordinator draining")
+// ErrDraining is the query edge's drain error (server.ErrDraining): a
+// draining coordinator's refusal, and the cancel cause of queries still
+// running when its drain grace expires.
+var ErrDraining = server.ErrDraining
 
 // Coordinator plans and executes distributed queries over the shard fleet.
 // Construct with New, serve it as an http.Handler (or call Query directly),
@@ -152,27 +154,10 @@ type Coordinator struct {
 	shards []*shard
 	ring   *Ring
 	mux    *http.ServeMux
+	edge   *server.Edge
+	bg     sync.WaitGroup // the prober
 
-	mu        sync.Mutex
-	draining  bool
-	inflightN int
-	idleCh    chan struct{}
-
-	baseCtx    context.Context
-	baseCancel context.CancelCauseFunc
-	bg         sync.WaitGroup
-
-	queryID  atomic.Int64
-	counters struct {
-		Total       atomic.Int64
-		OK          atomic.Int64
-		BadRequest  atomic.Int64
-		Unavailable atomic.Int64
-		Overloaded  atomic.Int64
-		Timeout     atomic.Int64
-		Canceled    atomic.Int64
-		Internal    atomic.Int64
-	}
+	queryID      atomic.Int64
 	retries      atomic.Int64
 	gatheredRows atomic.Int64
 	modeCounts   [4]atomic.Int64 // replicated, colocated, routed, gather
@@ -209,7 +194,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		ring:   NewRing(len(cfg.Shards), cfg.Vnodes),
-		idleCh: make(chan struct{}),
+		edge:   server.NewEdge(0),
 		extras: make(map[int][]extraReplica),
 	}
 	for i, addr := range cfg.Shards {
@@ -218,7 +203,6 @@ func New(cfg Config) (*Coordinator, error) {
 		sh.breaker.cooloff = cfg.BreakerCooloff
 		c.shards = append(c.shards, sh)
 	}
-	c.baseCtx, c.baseCancel = context.WithCancelCause(context.Background())
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("/query", c.handleQuery)
 	c.mux.HandleFunc("/healthz", c.handleHealthz)
@@ -243,57 +227,13 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 // Broker exposes the admission broker (nil when unarbitrated).
 func (c *Coordinator) Broker() *admit.Broker { return c.cfg.Broker }
 
-// Drain gracefully stops the coordinator exactly like server.Drain: refuse
-// new queries, give in-flight ones the grace window, cancel-cause the
-// stragglers, stop the prober, and return whether the drain was clean.
+// Drain gracefully stops the coordinator through its edge's drain gate
+// (see server.Edge.Drain), then stops the prober; it returns whether the
+// drain was clean.
 func (c *Coordinator) Drain(grace time.Duration) bool {
-	c.mu.Lock()
-	alreadyIdle := false
-	if !c.draining {
-		c.draining = true
-		if c.inflightN == 0 {
-			close(c.idleCh)
-			alreadyIdle = true
-		}
-	}
-	c.mu.Unlock()
-
-	clean := true
-	if !alreadyIdle {
-		timer := time.NewTimer(grace)
-		select {
-		case <-c.idleCh:
-			timer.Stop()
-		case <-timer.C:
-			clean = false
-			c.baseCancel(ErrDraining)
-			<-c.idleCh
-		}
-	}
-	c.baseCancel(ErrDraining)
+	clean := c.edge.Drain(grace)
 	c.bg.Wait()
 	return clean
-}
-
-// enter registers an in-flight query; it fails while draining.
-func (c *Coordinator) enter() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return false
-	}
-	c.inflightN++
-	return true
-}
-
-// leave balances enter and wakes Drain when the last query ends.
-func (c *Coordinator) leave() {
-	c.mu.Lock()
-	c.inflightN--
-	if c.draining && c.inflightN == 0 {
-		close(c.idleCh)
-	}
-	c.mu.Unlock()
 }
 
 // Stats is one query's distributed-execution summary.
@@ -309,10 +249,7 @@ type Stats struct {
 }
 
 // ColMeta describes one result column.
-type ColMeta struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
-}
+type ColMeta = server.ColMeta
 
 // Result is a merged distributed query result. Row values are int64,
 // float64, or string by column type.
@@ -570,24 +507,18 @@ func (c *Coordinator) unavailableRetryAfter() time.Duration {
 // correlation. Admission, when configured, spans the whole distributed
 // execution.
 func (c *Coordinator) Query(ctx context.Context, sqlText, qid string) (*Result, error) {
-	// Drain participation lives here, not only in the HTTP handler, so
-	// embedded (in-process) callers are counted in-flight and cancelled by
-	// an unclean drain too.
-	if !c.enter() {
-		return nil, ErrDraining
-	}
-	defer c.leave()
-	qctx, qcancel := context.WithCancelCause(ctx)
-	defer qcancel(nil)
-	stop := context.AfterFunc(c.baseCtx, func() { qcancel(context.Cause(c.baseCtx)) })
-	defer stop()
-	ctx = qctx
+	return c.query(ctx, sqlText, server.QueryID(qid, "c", &c.queryID))
+}
 
-	if qid == "" {
-		qid = fmt.Sprintf("c%d", c.queryID.Add(1))
-	} else {
-		c.queryID.Add(1)
+// query executes one numbered query. Drain participation lives here, not
+// in the HTTP handler, so embedded (in-process) callers are counted
+// in flight and cancelled by an unclean drain too.
+func (c *Coordinator) query(ctx context.Context, sqlText, qid string) (*Result, error) {
+	ctx, done, err := c.edge.Enter(ctx)
+	if err != nil {
+		return nil, err
 	}
+	defer done()
 	start := time.Now()
 
 	stmt, err := sql.Parse(sqlText)
@@ -692,15 +623,11 @@ func (c *Coordinator) passthrough(ctx context.Context, stmt *sql.SelectStmt, ft 
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]ColMeta, len(fr.cols))
-	for i, cm := range fr.cols {
-		cols[i] = ColMeta{Name: cm.Name, Type: cm.Type}
-	}
 	st := Stats{Shards: 1, Fragments: fr.tries, Retries: fr.tries - 1}
 	if fr.failedOver {
 		st.Failovers = 1
 	}
-	return &Result{Cols: cols, Rows: fr.rows, Stats: st}, nil
+	return &Result{Cols: fr.cols, Rows: fr.rows, Stats: st}, nil
 }
 
 // unionFind is a tiny union-find over qualified column names.

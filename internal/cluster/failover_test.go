@@ -371,8 +371,8 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestDrainDuringFailover: coordinator Drain while a fragment is mid-reroute
-// must finish the rerouted fragment or cancel cleanly — no stuck enter()
-// reservations, no leaked admission bytes (run under -race in CI).
+// must finish the rerouted fragment or cancel cleanly — no stuck drain-gate
+// entries, no leaked admission bytes (run under -race in CI).
 func TestDrainDuringFailover(t *testing.T) {
 	faultinject.FailOnLeak(t)
 	broker := admit.NewBroker(admit.Config{GlobalMem: 64 << 20})
@@ -402,7 +402,7 @@ func TestDrainDuringFailover(t *testing.T) {
 			t.Fatalf("drain during failover: got %v, want nil or ErrDraining", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("query stuck after drain: enter() reservation never released")
+		t.Fatal("query stuck after drain: drain-gate entry never released")
 	}
 	if inUse := broker.InUse(); inUse != 0 {
 		t.Fatalf("%d admission bytes leaked across drain", inUse)

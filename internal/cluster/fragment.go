@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -15,6 +13,7 @@ import (
 	"time"
 
 	"partitionjoin/internal/faultinject"
+	"partitionjoin/internal/server"
 	"partitionjoin/internal/storage"
 )
 
@@ -29,18 +28,12 @@ var _ = faultinject.Register(
 	"cluster.ring.stale",
 )
 
-// colMeta mirrors the server's column descriptor on the wire.
-type colMeta struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
-}
-
 // fragResult is one fragment's fully collected rows. Values are decoded by
 // declared column type: INT64/INT32/DATE/BOOL → int64, FLOAT64 → float64,
 // STRING → string (json.Number parsing, so 64-bit keys survive).
 type fragResult struct {
 	shard      *shard
-	cols       []colMeta
+	cols       []ColMeta
 	rows       [][]any
 	tries      int
 	failedOver bool // completed on a holder other than the primary
@@ -88,32 +81,18 @@ type fragError struct {
 
 func (e *fragError) Error() string { return e.err.Error() }
 
-// fragmentRequest mirrors the server's queryRequest body.
-type fragmentRequest struct {
-	SQL    string `json:"sql"`
-	Stream bool   `json:"stream"`
-}
-
 // attemptFragment issues one fragment RPC against a holder (base address +
 // replica path) and streams the NDJSON response into memory. ctx must
 // already carry the fragment deadline. The error, when non-nil, is always a
 // *fragError.
-func (c *Coordinator) attemptFragment(ctx context.Context, addr, path, fsql, qid string) ([]colMeta, [][]any, error) {
+func (c *Coordinator) attemptFragment(ctx context.Context, addr, path, fsql, qid string) ([]ColMeta, [][]any, error) {
 	if err := faultinject.ErrAt("cluster.fragment.connect"); err != nil {
 		return nil, nil, &fragError{err: fmt.Errorf("connect %s: %w", addr, err), retryable: true}
 	}
 	faultinject.Hit("cluster.fragment.slow")
-	body, _ := json.Marshal(fragmentRequest{SQL: fsql, Stream: true})
 	url := addr + path + "/query"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, &fragError{err: err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "application/x-ndjson")
-	req.Header.Set("X-Query-ID", qid)
-	req.Header.Set("X-Ring-Version", strconv.FormatInt(c.ring.Version(), 10))
-	resp, err := c.httpClient().Do(req)
+	resp, err := postStream(ctx, c.httpClient(), url, fsql, "X-Query-ID", qid,
+		"X-Ring-Version", strconv.FormatInt(c.ring.Version(), 10))
 	if err != nil {
 		// Transport-level failure: refused, reset, or the fragment
 		// deadline. The parent query context deciding it is different —
@@ -122,15 +101,13 @@ func (c *Coordinator) attemptFragment(ctx context.Context, addr, path, fsql, qid
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+		re := server.DecodeError(resp)
 		fe := &fragError{
-			err:       fmt.Errorf("fragment %s: HTTP %d: %s", url, resp.StatusCode, bytes.TrimSpace(msg)),
-			retryable: retryableStatus(resp.StatusCode),
+			err:        fmt.Errorf("fragment %s: %w", url, re),
+			retryable:  retryableStatus(re.Status),
+			retryAfter: re.RetryAfter,
 		}
-		if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil {
-			fe.retryAfter = time.Duration(secs) * time.Second
-		}
-		switch resp.StatusCode {
+		switch re.Status {
 		case http.StatusNotFound:
 			if path != "" {
 				// The replica is not mounted on this node — the chain is
@@ -143,78 +120,68 @@ func (c *Coordinator) attemptFragment(ctx context.Context, addr, path, fsql, qid
 			// Adopt it and retry immediately: the re-resolved chain is valid.
 			fe.retryable = true
 			fe.staleRing = true
-			var envelope struct {
-				RingVersion int64 `json:"ring_version"`
-			}
-			if json.Unmarshal(msg, &envelope) == nil {
-				fe.ringVer = envelope.RingVersion
-			}
+			fe.ringVer, _ = strconv.ParseInt(resp.Header.Get("X-Ring-Version"), 10, 64)
 		}
 		return nil, nil, fe
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	if !sc.Scan() {
-		return nil, nil, &fragError{err: fmt.Errorf("fragment %s: empty stream: %w", url, sc.Err()), retryable: true}
-	}
-	var hdr struct {
-		Cols []colMeta `json:"cols"`
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, nil, &fragError{err: fmt.Errorf("fragment %s: bad stream header: %w", url, err)}
-	}
+	var hdr server.StreamHeader
 	var rows [][]any
-	sawTrailer := false
-	n := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if line[0] == '{' {
-			sawTrailer = true
-			break
-		}
-		n++
-		if n%64 == 0 {
+	err = server.ReadStream(resp.Body, &hdr, func(line []byte) error {
+		if (len(rows)+1)%64 == 0 {
 			if err := faultinject.ErrAt("cluster.fragment.stream"); err != nil {
-				return nil, nil, &fragError{err: fmt.Errorf("fragment %s: %w", url, err), retryable: true}
+				return err
 			}
 		}
 		row, err := decodeRow(line, hdr.Cols)
 		if err != nil {
-			return nil, nil, &fragError{err: fmt.Errorf("fragment %s: %w", url, err)}
+			return err
 		}
 		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, &fragError{err: fmt.Errorf("fragment %s: mid-stream: %w", url, err), retryable: true}
-	}
-	if !sawTrailer {
-		// The shard died between the last row and the trailer; without the
-		// trailer the row set cannot be trusted complete.
-		return nil, nil, &fragError{err: fmt.Errorf("fragment %s: stream ended without trailer", url), retryable: true}
+		return nil
+	}, nil)
+	if err != nil {
+		// A stream cut short — the shard died before its trailer, or the
+		// fault site hung up — is worth another attempt; one that does not
+		// decode is not.
+		return nil, nil, &fragError{err: fmt.Errorf("fragment %s: %w", url, err), retryable: !errors.Is(err, server.ErrBadStream)}
 	}
 	return hdr.Cols, rows, nil
 }
 
-// decodeRow parses one NDJSON row array into typed values.
-func decodeRow(line []byte, cols []colMeta) ([]any, error) {
+// postStream posts one query to url asking for an NDJSON stream, with the
+// given header name/value pairs.
+func postStream(ctx context.Context, hc *http.Client, url, fsql string, headers ...string) (*http.Response, error) {
+	body, _ := json.Marshal(server.QueryRequest{SQL: fsql, Stream: true})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept", "application/x-ndjson")
+	for i := 0; i+1 < len(headers); i += 2 {
+		req.Header.Set(headers[i], headers[i+1])
+	}
+	return hc.Do(req)
+}
+
+// decodeRow parses one NDJSON row array into typed values; a row that does
+// not decode is a server.ErrBadStream.
+func decodeRow(line []byte, cols []ColMeta) ([]any, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.UseNumber()
 	var raw []any
 	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("bad stream row: %w", err)
+		return nil, fmt.Errorf("%w: row: %v", server.ErrBadStream, err)
 	}
 	if len(raw) != len(cols) {
-		return nil, fmt.Errorf("row has %d values, want %d", len(raw), len(cols))
+		return nil, fmt.Errorf("%w: row has %d values, want %d", server.ErrBadStream, len(raw), len(cols))
 	}
 	row := make([]any, len(raw))
 	for i, v := range raw {
 		cv, err := coerce(v, cols[i].Type)
 		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", cols[i].Name, err)
+			return nil, fmt.Errorf("%w: column %s: %v", server.ErrBadStream, cols[i].Name, err)
 		}
 		row[i] = cv
 	}

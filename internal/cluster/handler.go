@@ -1,173 +1,62 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
-	"partitionjoin/internal/admit"
-	"partitionjoin/internal/exec"
 	"partitionjoin/internal/plan"
-	"partitionjoin/internal/storage"
+	"partitionjoin/internal/server"
 )
 
-// The coordinator speaks the exact wire dialect of internal/server — the
-// same /query request body, NDJSON stream shape, and error envelope — so
-// server.Client, sqlrun -server and the benchmark's cluster_fabric workload
-// drive a coordinator and a single node interchangeably.
+// The coordinator serves through internal/server's query edge — the same
+// /query request body, error envelope, status mapping, row writers and
+// drain gate as a single node — so server.Client, sqlrun -server and the
+// benchmark drive either interchangeably. What stays here is
+// cluster-specific: ShardUnavailableError's status and backoff, the shard
+// list in /healthz, and the /statsz counters.
 
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mux.ServeHTTP(w, r)
 }
 
-// StatusClientClosedRequest mirrors the server's nginx-style 499.
-const StatusClientClosedRequest = 499
-
-// coordRequest is the accepted subset of the server's query body.
-type coordRequest struct {
-	SQL    string `json:"sql"`
-	Stream bool   `json:"stream,omitempty"`
-}
-
-// coordErrorBody mirrors the server's error envelope.
-type coordErrorBody struct {
-	Error        string `json:"error"`
-	QueryID      string `json:"query_id,omitempty"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-// writeError emits the JSON error envelope, with Retry-After for the
-// retryable statuses, and counts it.
-func (c *Coordinator) writeError(w http.ResponseWriter, qid string, status int, err error) {
-	body := coordErrorBody{Error: err.Error(), QueryID: qid}
-	var retryAfter int64
-	var se *ShardUnavailableError
-	var oe *admit.OverloadError
-	switch {
-	case errors.As(err, &se):
-		retryAfter = se.RetryAfter.Milliseconds()
-	case errors.As(err, &oe):
-		retryAfter = oe.RetryAfter.Milliseconds()
-	}
-	if retryAfter > 0 {
-		body.RetryAfterMS = retryAfter
-		secs := (retryAfter + 999) / 1000
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	switch status {
-	case http.StatusBadRequest:
-		c.counters.BadRequest.Add(1)
-	case http.StatusTooManyRequests:
-		c.counters.Overloaded.Add(1)
-	case http.StatusServiceUnavailable:
-		c.counters.Unavailable.Add(1)
-	case http.StatusRequestTimeout:
-		c.counters.Timeout.Add(1)
-	case StatusClientClosedRequest:
-		c.counters.Canceled.Add(1)
-	default:
-		c.counters.Internal.Add(1)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-// coordStatus maps a distributed execution error onto its HTTP status.
-func coordStatus(err error, reqDone bool) int {
-	switch {
-	case errors.Is(err, ErrShardUnavailable):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, admit.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusRequestTimeout
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled):
-		if reqDone {
-			return StatusClientClosedRequest
-		}
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// sanitizeQID keeps a caller-supplied query id loggable: printable ASCII,
-// bounded length.
-func sanitizeQID(s string) string {
-	if len(s) > 64 {
-		s = s[:64]
-	}
-	var b strings.Builder
-	for _, r := range s {
-		if r > 0x20 && r < 0x7f {
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// handleQuery is POST /query on the coordinator.
+// handleQuery is POST /query on the coordinator. Drain participation is
+// Query's, so embedded callers share it.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if !c.enter() {
-		w.Header().Set("Retry-After", "1")
-		c.writeError(w, "", http.StatusServiceUnavailable, errors.New("coordinator is draining"))
-		return
-	}
-	defer c.leave()
-	c.counters.Total.Add(1)
-
-	qid := sanitizeQID(r.Header.Get("X-Query-ID"))
-	if qid == "" {
-		qid = fmt.Sprintf("c%d", c.queryID.Add(1))
-	}
+	c.edge.Total.Add(1)
+	qid := server.QueryID(r.Header.Get("X-Query-ID"), "c", &c.queryID)
 	w.Header().Set("X-Query-ID", qid)
-
-	var req coordRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		c.writeError(w, qid, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		c.writeError(w, qid, http.StatusBadRequest, errors.New("empty sql"))
-		return
-	}
-	stream := req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
-
-	qctx, qcancel := context.WithCancelCause(r.Context())
-	defer qcancel(nil)
-	stopDrainWatch := context.AfterFunc(c.baseCtx, func() {
-		qcancel(context.Cause(c.baseCtx))
-	})
-	defer stopDrainWatch()
-
-	res, err := c.Query(qctx, req.SQL, qid)
+	req, err := server.ReadQuery(r)
 	if err != nil {
-		status := coordStatus(err, r.Context().Err() != nil)
-		if isBadQuery(err) {
+		c.edge.WriteError(w, qid, http.StatusBadRequest, 0, err)
+		return
+	}
+	res, err := c.query(r.Context(), req.SQL, qid)
+	if err != nil {
+		status, retryAfter := server.Status(err, r.Context().Err() != nil)
+		var se *ShardUnavailableError
+		switch {
+		case errors.As(err, &se):
+			status, retryAfter = http.StatusServiceUnavailable, se.RetryAfter
+		case isBadQuery(err):
 			status = http.StatusBadRequest
 		}
-		c.writeError(w, qid, status, err)
+		c.edge.WriteError(w, qid, status, retryAfter, err)
 		return
 	}
-	c.counters.OK.Add(1)
-	if stream {
-		c.streamResult(w, res)
+	c.edge.OK.Add(1)
+	if req.Stream {
+		c.edge.StreamRows(r.Context(), w, qid, res.Cols, len(res.Rows),
+			func(i int, dst []any) { copy(dst, res.Rows[i]) }, res.Stats)
 	} else {
-		c.writeResult(w, res)
+		server.WriteDoc(w, qid, res.Cols, res.Rows, res.Stats)
 	}
 }
 
@@ -183,58 +72,16 @@ func isBadQuery(err error) bool {
 		strings.HasPrefix(msg, "cluster: duplicate alias")
 }
 
-// writeResult delivers the merged result as one JSON document, in the
-// server's response shape with the cluster stats block.
-func (c *Coordinator) writeResult(w http.ResponseWriter, res *Result) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		QueryID  string    `json:"query_id"`
-		Cols     []ColMeta `json:"cols"`
-		Rows     [][]any   `json:"rows"`
-		RowCount int       `json:"row_count"`
-		Stats    Stats     `json:"stats"`
-	}{res.QueryID, res.Cols, res.Rows, len(res.Rows), res.Stats})
-}
-
-// streamResult delivers the merged result as NDJSON: header, rows, trailer.
-func (c *Coordinator) streamResult(w http.ResponseWriter, res *Result) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(struct {
-		QueryID string    `json:"query_id"`
-		Cols    []ColMeta `json:"cols"`
-	}{res.QueryID, res.Cols}); err != nil {
-		return
-	}
-	for _, row := range res.Rows {
-		if err := enc.Encode(row); err != nil {
-			return
-		}
-	}
-	enc.Encode(struct {
-		QueryID  string `json:"query_id"`
-		RowCount int    `json:"row_count"`
-		Stats    Stats  `json:"stats"`
-	}{res.QueryID, len(res.Rows), res.Stats})
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
 // handleHealthz reports liveness; like the server's, it flips to 503 the
 // moment a drain starts. The body carries the shard fleet's health.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	draining := c.draining
-	c.mu.Unlock()
 	states := make([]string, len(c.shards))
 	for i, sh := range c.shards {
 		states[i] = sh.State().String()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	status := "ok"
-	if draining {
+	if c.edge.Draining() {
 		status = "draining"
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
@@ -268,6 +115,7 @@ type CoordStats struct {
 	Overloaded       int64            `json:"overloaded"`
 	Timeout          int64            `json:"timeout"`
 	Canceled         int64            `json:"canceled"`
+	Stalled          int64            `json:"stalled"`
 	Internal         int64            `json:"internal"`
 	Retries          int64            `json:"fragment_retries"`
 	GatheredRows     int64            `json:"gathered_rows"`
@@ -293,14 +141,15 @@ func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 // serves, for in-process harnesses.
 func (c *Coordinator) Statsz() CoordStats {
 	st := CoordStats{
-		Queries:          c.counters.Total.Load(),
-		OK:               c.counters.OK.Load(),
-		BadRequest:       c.counters.BadRequest.Load(),
-		Unavailable:      c.counters.Unavailable.Load(),
-		Overloaded:       c.counters.Overloaded.Load(),
-		Timeout:          c.counters.Timeout.Load(),
-		Canceled:         c.counters.Canceled.Load(),
-		Internal:         c.counters.Internal.Load(),
+		Queries:          c.edge.Total.Load(),
+		OK:               c.edge.OK.Load(),
+		BadRequest:       c.edge.BadRequest.Load(),
+		Unavailable:      c.edge.Unavailable.Load(),
+		Overloaded:       c.edge.Overloaded.Load(),
+		Timeout:          c.edge.Timeout.Load(),
+		Canceled:         c.edge.Canceled.Load(),
+		Stalled:          c.edge.Stalled.Load(),
+		Internal:         c.edge.Internal.Load(),
 		Retries:          c.retries.Load(),
 		GatheredRows:     c.gatheredRows.Load(),
 		RingVersion:      c.ring.Version(),
@@ -339,32 +188,9 @@ func (c *Coordinator) Statsz() CoordStats {
 // execToResult converts a local ExecResult (the gather path's output) into
 // the coordinator's result shape.
 func execToResult(res *plan.ExecResult) *Result {
-	n := res.Result.NumRows()
-	out := &Result{
-		Cols: make([]ColMeta, len(res.Cols)),
-		Rows: make([][]any, n),
-	}
+	out := &Result{Cols: make([]ColMeta, len(res.Cols)), Rows: server.ResultRows(res.Result)}
 	for i, cr := range res.Cols {
 		out.Cols[i] = ColMeta{Name: cr.Name, Type: res.Result.Vecs[i].T.String()}
 	}
-	for i := 0; i < n; i++ {
-		row := make([]any, len(res.Result.Vecs))
-		for ci := range res.Result.Vecs {
-			row[ci] = vecValue(&res.Result.Vecs[ci], i)
-		}
-		out.Rows[i] = row
-	}
 	return out
-}
-
-// vecValue extracts row i of a vector as a wire value.
-func vecValue(v *exec.Vector, i int) any {
-	switch v.T {
-	case storage.Float64:
-		return v.F64[i]
-	case storage.String:
-		return string(v.Str[i])
-	default:
-		return v.I64[i]
-	}
 }

@@ -234,7 +234,7 @@ func (c *Coordinator) prober() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.baseCtx.Done():
+		case <-c.edge.Context().Done():
 			return
 		case <-t.C:
 		}
@@ -243,14 +243,14 @@ func (c *Coordinator) prober() {
 			wg.Add(1)
 			go func(sh *shard) {
 				defer wg.Done()
-				c.probe(c.baseCtx, sh)
+				c.probe(c.edge.Context(), sh)
 			}(sh)
 		}
 		wg.Wait()
 		// Membership follow-up rides the probe round: a shard Down past the
 		// grace window loses its replicas to new holders (restoring R); one
 		// back Up gets the compensating mounts dismantled.
-		c.rereplicateCheck(c.baseCtx)
-		c.restoreCheck(c.baseCtx)
+		c.rereplicateCheck(c.edge.Context())
+		c.restoreCheck(c.edge.Context())
 	}
 }

@@ -134,9 +134,8 @@ func (mp *mergePlan) merge(frags []*fragResult) (*Result, error) {
 	if len(base.cols) < n {
 		return nil, fmt.Errorf("cluster: fragment returned %d columns, want >= %d", len(base.cols), n)
 	}
-	cols := make([]ColMeta, n)
-	for i, cm := range base.cols[:n] {
-		cols[i] = ColMeta{Name: cm.Name, Type: cm.Type}
+	cols := append([]ColMeta(nil), base.cols[:n]...)
+	for i := range cols {
 		if mp.kinds[i] == mergeAvg {
 			// Fragments ship sums (possibly integer); the quotient is float.
 			cols[i].Type = storage.Float64.String()

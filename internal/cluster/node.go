@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -365,60 +362,30 @@ func (n *Node) client() *http.Client {
 	return http.DefaultClient
 }
 
-// fetchNDJSON posts one streamed query and collects the typed rows — the
-// node-side twin of the coordinator's attemptFragment, shared by partition
-// transfer. The trailer is required: a stream that ends without it cannot
-// be trusted complete.
-func fetchNDJSON(ctx context.Context, hc *http.Client, url, fsql string) ([]colMeta, [][]any, error) {
-	body, _ := json.Marshal(fragmentRequest{SQL: fsql, Stream: true})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := hc.Do(req)
+// fetchNDJSON posts one streamed query and collects the typed rows, for
+// partition transfer. The trailer is required: a stream that ends without
+// it cannot be trusted complete.
+func fetchNDJSON(ctx context.Context, hc *http.Client, url, fsql string) ([]ColMeta, [][]any, error) {
+	resp, err := postStream(ctx, hc, url, fsql)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := bufio.NewReader(resp.Body).ReadString('\n')
-		return nil, nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(msg))
+		return nil, nil, server.DecodeError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	if !sc.Scan() {
-		return nil, nil, fmt.Errorf("empty stream: %w", sc.Err())
-	}
-	var hdr struct {
-		Cols []colMeta `json:"cols"`
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, nil, fmt.Errorf("bad stream header: %w", err)
-	}
+	var hdr server.StreamHeader
 	var rows [][]any
-	sawTrailer := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if line[0] == '{' {
-			sawTrailer = true
-			break
-		}
+	err = server.ReadStream(resp.Body, &hdr, func(line []byte) error {
 		row, err := decodeRow(line, hdr.Cols)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("mid-stream: %w", err)
-	}
-	if !sawTrailer {
-		return nil, nil, errors.New("stream ended without trailer")
+		return nil
+	}, nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	return hdr.Cols, rows, nil
 }

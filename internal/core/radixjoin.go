@@ -290,6 +290,7 @@ type PartitionJoinSource struct {
 	J       *RadixJoin
 	once    sync.Once
 	scratch []*joinScratch
+	spilled []int // spilled pass-1 partitions, fixed when the join phase starts
 }
 
 type joinScratch struct {
@@ -301,7 +302,8 @@ type joinScratch struct {
 // Tasks implements exec.Source: one task per resident partition pair plus
 // one per spilled pass-1 partition (processed serially under reloadMu).
 func (s *PartitionJoinSource) Tasks() int {
-	return s.J.BuildSink.Out.NumParts() + s.J.Spill.numSpilled()
+	s.spilled = s.J.Spill.spilledList()
+	return s.J.BuildSink.Out.NumParts() + len(s.spilled)
 }
 
 func (s *PartitionJoinSource) worker(ctx *exec.Ctx) *joinScratch {
@@ -331,7 +333,7 @@ func (s *PartitionJoinSource) Emit(ctx *exec.Ctx, pid int, out exec.Operator) {
 	j := s.J
 	nres := j.BuildSink.Out.NumParts()
 	if pid >= nres {
-		s.emitSpilled(ctx, j.Spill.spilledList()[pid-nres], out)
+		s.emitSpilled(ctx, s.spilled[pid-nres], out)
 		return
 	}
 	if j.Spill.isSpilled(pid & (1<<j.Cfg.Pass1Bits - 1)) {

@@ -122,16 +122,6 @@ func (sp *JoinSpill) isSpilled(p1 int) bool {
 	return sp.spilled[p1]
 }
 
-// numSpilled returns the count of spilled pass-1 partitions.
-func (sp *JoinSpill) numSpilled() int {
-	if sp == nil {
-		return 0
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return len(sp.spilled)
-}
-
 // spilledList returns the spilled pass-1 partition ids in ascending order,
 // the deterministic task list of the join phase's spilled pass.
 func (sp *JoinSpill) spilledList() []int {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -55,8 +54,10 @@ func (e *RemoteError) Overloaded() bool {
 	return e.Status == http.StatusTooManyRequests || e.Status == http.StatusServiceUnavailable
 }
 
-// remoteError decodes an error response.
-func remoteError(resp *http.Response) *RemoteError {
+// DecodeError decodes a non-2xx response of a query surface: the error
+// envelope, with retry_after_ms as the exact backoff and the whole-second
+// Retry-After header as the fallback.
+func DecodeError(resp *http.Response) *RemoteError {
 	e := &RemoteError{Status: resp.StatusCode, QueryID: resp.Header.Get("X-Query-ID")}
 	var body errorBody
 	if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body) == nil {
@@ -94,7 +95,7 @@ func (c *Client) NewSession(ctx context.Context, d SessionDefaults) (string, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return "", remoteError(resp)
+		return "", DecodeError(resp)
 	}
 	var sr sessionResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
@@ -120,7 +121,7 @@ func (c *Client) EndSession(ctx context.Context) error {
 	defer resp.Body.Close()
 	c.Session = ""
 	if resp.StatusCode != http.StatusNoContent {
-		return remoteError(resp)
+		return DecodeError(resp)
 	}
 	return nil
 }
@@ -128,7 +129,7 @@ func (c *Client) EndSession(ctx context.Context) error {
 // QueryResult is a fully collected response.
 type QueryResult struct {
 	QueryID  string     `json:"query_id"`
-	Cols     []colMeta  `json:"cols"`
+	Cols     []ColMeta  `json:"cols"`
 	Rows     [][]any    `json:"rows"`
 	RowCount int        `json:"row_count"`
 	Stats    queryStats `json:"stats"`
@@ -152,7 +153,7 @@ func (c *Client) Query(ctx context.Context, sqlText string) (*QueryResult, error
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, remoteError(resp)
+		return nil, DecodeError(resp)
 	}
 	var qr QueryResult
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
@@ -160,12 +161,6 @@ func (c *Client) Query(ctx context.Context, sqlText string) (*QueryResult, error
 	}
 	qr.ResultCache = resp.Header.Get("X-Result-Cache")
 	return &qr, nil
-}
-
-// StreamHeader is the first NDJSON line of a streamed result.
-type StreamHeader struct {
-	QueryID string    `json:"query_id"`
-	Cols    []colMeta `json:"cols"`
 }
 
 // StreamTrailer is the last NDJSON line.
@@ -186,46 +181,26 @@ func (c *Client) QueryStream(ctx context.Context, sqlText string, fn func(row []
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, remoteError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("server: empty stream: %w", sc.Err())
+		return nil, DecodeError(resp)
 	}
 	var hdr StreamHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("server: bad stream header: %w", err)
-	}
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if line[0] == '{' { // trailer
-			var tr StreamTrailer
-			if err := json.Unmarshal(line, &tr); err != nil {
-				return nil, fmt.Errorf("server: bad stream trailer: %w", err)
-			}
-			return &tr, nil
-		}
+	var tr StreamTrailer
+	err = ReadStream(resp.Body, &hdr, func(line []byte) error {
 		var row []any
 		if err := json.Unmarshal(line, &row); err != nil {
-			return nil, fmt.Errorf("server: bad stream row: %w", err)
+			return fmt.Errorf("%w: row: %v", ErrBadStream, err)
 		}
-		if err := fn(row); err != nil {
-			return nil, err
-		}
+		return fn(row)
+	}, &tr)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return nil, fmt.Errorf("server: stream ended without trailer (query %s)", hdr.QueryID)
+	return &tr, nil
 }
 
 // post issues the query request.
 func (c *Client) post(ctx context.Context, sqlText string, stream bool) (*http.Response, error) {
-	b, _ := json.Marshal(queryRequest{SQL: sqlText, Session: c.Session, Stream: stream})
+	b, _ := json.Marshal(QueryRequest{SQL: sqlText, Session: c.Session, Stream: stream})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/query", bytes.NewReader(b))
 	if err != nil {
 		return nil, err
@@ -271,7 +246,7 @@ func (c *Client) Statsz(ctx context.Context) (*ServerStats, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, remoteError(resp)
+		return nil, DecodeError(resp)
 	}
 	var st ServerStats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {

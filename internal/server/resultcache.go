@@ -43,7 +43,7 @@ type ResultCache struct {
 type resultEntry struct {
 	key   string
 	bytes int64
-	cols  []colMeta
+	cols  []ColMeta
 	// pages are NDJSON row lines ('['...']\n' each), packed to about
 	// resultPageBytes per page.
 	pages    [][]byte
@@ -176,12 +176,12 @@ func (c *ResultCache) Stats() ResultCacheStats {
 // when the encoded rows outgrow maxBytes — the caller then serves the
 // result through the uncached writers and the fill is rejected without
 // having buffered the whole oversized result.
-func encodeResultEntry(key string, cols []colMeta, res *plan.ExecResult, maxBytes int64) *resultEntry {
+func encodeResultEntry(key string, cols []ColMeta, res *plan.ExecResult, maxBytes int64) *resultEntry {
 	e := &resultEntry{key: key, cols: cols, rowCount: res.Result.NumRows(), sourceRows: res.SourceRows}
 	var page bytes.Buffer
 	page.Grow(resultPageBytes + 1024)
 	enc := json.NewEncoder(&page)
-	row := make([]any, len(res.Result.Vecs))
+	row, fill := make([]any, len(cols)), fillRow(res.Result)
 	flush := func() {
 		if page.Len() == 0 {
 			return
@@ -193,9 +193,7 @@ func encodeResultEntry(key string, cols []colMeta, res *plan.ExecResult, maxByte
 		page.Reset()
 	}
 	for i := 0; i < e.rowCount; i++ {
-		for c := range res.Result.Vecs {
-			row[c] = rowValue(&res.Result.Vecs[c], i)
-		}
+		fill(i, row)
 		if enc.Encode(row) != nil {
 			return nil
 		}

@@ -30,11 +30,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,11 +47,6 @@ import (
 	"partitionjoin/internal/sql"
 	"partitionjoin/internal/storage"
 )
-
-// StatusClientClosedRequest is the nginx-convention status for "the client
-// went away before the response"; it can never reach that client, but it is
-// what the access log and the error counters record.
-const StatusClientClosedRequest = 499
 
 // Config sizes a Server. Zero values select the documented defaults.
 type Config struct {
@@ -102,19 +95,6 @@ type Config struct {
 	StreamChunk int
 }
 
-// queryCounters aggregates lifetime outcomes for /statsz.
-type queryCounters struct {
-	Total      atomic.Int64
-	Active     atomic.Int64
-	OK         atomic.Int64
-	BadRequest atomic.Int64
-	Overloaded atomic.Int64
-	Timeout    atomic.Int64
-	Canceled   atomic.Int64
-	Stalled    atomic.Int64
-	Internal   atomic.Int64
-}
-
 // execMeters aggregates ExecResult meters across all queries.
 type execMeters struct {
 	RowsReturned    atomic.Int64
@@ -136,23 +116,19 @@ type Server struct {
 	cache  *PlanCache
 	rcache *ResultCache // nil when Config.NoResultCache
 	mux    *http.ServeMux
+	edge   *Edge
 
 	mu         sync.Mutex
 	cat        sql.Catalog // replaced wholesale on RegisterTable (copy-on-write)
 	catVersion int64
 	sessions   map[string]*session
-	draining   bool
-	inflightN  int
-	idleCh     chan struct{} // closed when draining && inflightN == 0
 
-	baseCtx    context.Context // cancelled to hard-stop in-flight queries
-	baseCancel context.CancelCauseFunc
-	bg         sync.WaitGroup // janitor and other background loops
+	bg sync.WaitGroup // janitor and other background loops
 
 	sessionSeq      atomic.Int64
 	sessionsExpired atomic.Int64
 	queryID         atomic.Int64
-	counters        queryCounters
+	active          atomic.Int64
 	meters          execMeters
 	started         time.Time
 }
@@ -169,9 +145,6 @@ func New(cfg Config, cat sql.Catalog) *Server {
 			cfg.JanitorInterval = 100 * time.Millisecond
 		}
 	}
-	if cfg.StreamChunk <= 0 {
-		cfg.StreamChunk = 256
-	}
 	if cfg.Core == (core.Config{}) {
 		cfg.Core = core.DefaultConfig()
 	}
@@ -180,7 +153,7 @@ func New(cfg Config, cat sql.Catalog) *Server {
 		cache:    NewPlanCache(cfg.PlanCacheSize),
 		cat:      make(sql.Catalog, len(cat)),
 		sessions: make(map[string]*session),
-		idleCh:   make(chan struct{}),
+		edge:     NewEdge(cfg.StreamChunk),
 		started:  time.Now(),
 	}
 	if !cfg.NoResultCache {
@@ -189,7 +162,6 @@ func New(cfg Config, cat sql.Catalog) *Server {
 	for k, v := range cat {
 		s.cat[strings.ToLower(k)] = v
 	}
-	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/session", s.handleSession)
@@ -235,42 +207,13 @@ func (s *Server) catalog() (sql.Catalog, int64) {
 	return s.cat, s.catVersion
 }
 
-// ErrDraining is the cancel cause installed when the drain grace period
-// expires with queries still running.
-var ErrDraining = errors.New("server: draining, grace period exceeded")
-
-// Drain gracefully stops the server: new queries are refused with 503,
-// in-flight queries may finish within grace, and any still running after
-// that are cancelled through their contexts with ErrDraining as the cause.
-// It returns true when every query finished inside the grace window (a
-// "clean" drain) and false when stragglers had to be cancelled. Drain
-// blocks until the last handler has returned and background loops have
-// stopped; it is idempotent.
+// Drain gracefully stops the server through its edge's drain gate (see
+// Edge.Drain): new queries are refused with 503, in-flight ones may finish
+// within grace, stragglers are cancelled with ErrDraining as the cause. It
+// returns true for a clean drain, blocks until the last handler has
+// returned and background loops have stopped, and is idempotent.
 func (s *Server) Drain(grace time.Duration) bool {
-	s.mu.Lock()
-	alreadyIdle := false
-	if !s.draining {
-		s.draining = true
-		if s.inflightN == 0 {
-			close(s.idleCh)
-			alreadyIdle = true
-		}
-	}
-	s.mu.Unlock()
-
-	clean := true
-	if !alreadyIdle {
-		timer := time.NewTimer(grace)
-		select {
-		case <-s.idleCh:
-			timer.Stop()
-		case <-timer.C:
-			clean = false
-			s.baseCancel(ErrDraining)
-			<-s.idleCh
-		}
-	}
-	s.baseCancel(ErrDraining) // stops the janitor; no-op if already cancelled
+	clean := s.edge.Drain(grace) // also stops the janitor
 	s.bg.Wait()
 	// Reclaim every session's spill tree on the way out.
 	s.mu.Lock()
@@ -281,43 +224,6 @@ func (s *Server) Drain(grace time.Duration) bool {
 		sess.destroy()
 	}
 	return clean
-}
-
-// enter registers an in-flight query; it fails when draining.
-func (s *Server) enter() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.inflightN++
-	return true
-}
-
-// leave balances enter and wakes Drain when the last query ends.
-func (s *Server) leave() {
-	s.mu.Lock()
-	s.inflightN--
-	if s.draining && s.inflightN == 0 {
-		close(s.idleCh)
-	}
-	s.mu.Unlock()
-}
-
-// queryRequest is the POST /query body.
-type queryRequest struct {
-	SQL     string `json:"sql"`
-	Session string `json:"session,omitempty"`
-	// Overrides (optional; session defaults, then server defaults apply).
-	MemBudget int64 `json:"mem_budget,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	Stream    bool  `json:"stream,omitempty"`
-}
-
-// colMeta describes one result column on the wire.
-type colMeta struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
 }
 
 // queryStats is the per-query meter block of a response.
@@ -339,68 +245,10 @@ type queryStats struct {
 	ResultCache string `json:"result_cache,omitempty"`
 }
 
-// errorBody is every non-2xx response.
-type errorBody struct {
-	Error        string `json:"error"`
-	QueryID      string `json:"query_id,omitempty"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-// writeError emits the JSON error body with the mapped status and counts it.
-func (s *Server) writeError(w http.ResponseWriter, qid string, status int, err error) {
-	body := errorBody{Error: err.Error(), QueryID: qid}
-	var oe *admit.OverloadError
-	if errors.As(err, &oe) {
-		body.RetryAfterMS = oe.RetryAfter.Milliseconds()
-		secs := int64(oe.RetryAfter.Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	switch status {
-	case http.StatusBadRequest:
-		s.counters.BadRequest.Add(1)
-	case http.StatusTooManyRequests:
-		s.counters.Overloaded.Add(1)
-	case http.StatusRequestTimeout:
-		s.counters.Timeout.Add(1)
-	case StatusClientClosedRequest:
-		s.counters.Canceled.Add(1)
-	default:
-		if errors.Is(err, admit.ErrStalled) {
-			s.counters.Stalled.Add(1)
-		} else {
-			s.counters.Internal.Add(1)
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-// statusFor maps an execution error onto its HTTP status. The qctx lets a
-// generic context error be attributed: a dead request context means the
-// client went away (499), a drain cancellation or watchdog kill is the
-// server's doing.
-func statusFor(err error, reqDone bool) int {
-	switch {
-	case errors.Is(err, admit.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusRequestTimeout
-	case errors.Is(err, admit.ErrStalled):
-		return http.StatusInternalServerError
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled):
-		if reqDone {
-			return StatusClientClosedRequest
-		}
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
+// fail answers a failed query with the status its error maps to.
+func (s *Server) fail(w http.ResponseWriter, qid string, err error, reqDone bool) {
+	status, retryAfter := Status(err, reqDone)
+	s.edge.WriteError(w, qid, status, retryAfter, err)
 }
 
 // cacheKey builds the plan-cache key: catalog generation, the two rewrite
@@ -418,49 +266,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if !s.enter() {
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, "", http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	}
-	defer s.leave()
-	s.counters.Total.Add(1)
-	s.counters.Active.Add(1)
-	defer s.counters.Active.Add(-1)
-
-	// A caller-supplied X-Query-ID (a coordinator's fragment id, a client's
-	// trace id) wins so one id follows the query through every log line,
-	// error body, and stream trailer it touches; otherwise one is minted.
-	qid := sanitizeQueryID(r.Header.Get("X-Query-ID"))
-	if qid == "" {
-		qid = fmt.Sprintf("q%d", s.queryID.Add(1))
-	} else {
-		s.queryID.Add(1)
-	}
+	qid := QueryID(r.Header.Get("X-Query-ID"), "q", &s.queryID)
 	w.Header().Set("X-Query-ID", qid)
-
-	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeError(w, qid, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	// The query context dies with the client (request context), the drain
+	// deadline (the edge's gate), or the per-query timeout.
+	qctx, done, err := s.edge.Enter(r.Context())
+	if err != nil {
+		s.fail(w, qid, err, false)
 		return
 	}
-	if strings.TrimSpace(req.SQL) == "" {
-		s.writeError(w, qid, http.StatusBadRequest, errors.New("empty sql"))
+	defer done()
+	s.edge.Total.Add(1)
+	s.active.Add(1)
+	defer s.active.Add(-1)
+
+	req, err := ReadQuery(r)
+	if err != nil {
+		s.edge.WriteError(w, qid, http.StatusBadRequest, 0, err)
 		return
 	}
 	if h := r.Header.Get("X-Session"); h != "" && req.Session == "" {
 		req.Session = h
 	}
-	stream := req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
 
 	// Session resolution: defaults layer under per-request overrides.
 	var defaults SessionDefaults
 	var sess *session
 	if req.Session != "" {
-		var err error
 		sess, err = s.lookupSession(req.Session)
 		if err != nil {
-			s.writeError(w, qid, http.StatusBadRequest, err)
+			s.edge.WriteError(w, qid, http.StatusBadRequest, 0, err)
 			return
 		}
 		defaults = sess.defaults
@@ -484,7 +319,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Plan cache: normalized SQL + catalog generation + rewrite gates.
 	normalized, err := sql.Normalize(req.SQL)
 	if err != nil {
-		s.writeError(w, qid, http.StatusBadRequest, err)
+		s.edge.WriteError(w, qid, http.StatusBadRequest, 0, err)
 		return
 	}
 	cat, catVersion := s.catalog()
@@ -499,10 +334,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if useRC {
 		if ce, ok := s.rcache.Get(key); ok {
 			w.Header().Set("X-Result-Cache", "hit")
-			s.counters.OK.Add(1)
+			s.edge.OK.Add(1)
 			s.meters.RowsReturned.Add(int64(ce.rowCount))
 			stats := queryStats{SourceRows: ce.sourceRows, PlanCache: "hit", ResultCache: "hit"}
-			if stream {
+			if req.Stream {
 				s.streamCached(r.Context(), w, qid, ce, stats, time.Now())
 			} else {
 				s.writeCachedDoc(w, qid, ce, stats, time.Now())
@@ -517,20 +352,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !cached {
 		prepared, err = sql.Prepare(cat, req.SQL, gateOpts)
 		if err != nil {
-			s.writeError(w, qid, http.StatusBadRequest, err)
+			s.edge.WriteError(w, qid, http.StatusBadRequest, 0, err)
 			return
 		}
 		s.cache.Put(key, prepared)
 	}
 
-	// Query context: dies with the client (request context), the drain
-	// deadline (base context), or the per-query timeout.
-	qctx, qcancel := context.WithCancelCause(r.Context())
-	defer qcancel(nil)
-	stopDrainWatch := context.AfterFunc(s.baseCtx, func() {
-		qcancel(context.Cause(s.baseCtx))
-	})
-	defer stopDrainWatch()
 	if timeout > 0 {
 		var tcancel context.CancelFunc
 		qctx, tcancel = context.WithTimeout(qctx, timeout)
@@ -549,7 +376,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if sess != nil {
 			dir, derr := sess.spillParent(s.cfg.SpillDir)
 			if derr != nil {
-				s.writeError(w, qid, http.StatusInternalServerError, derr)
+				s.edge.WriteError(w, qid, http.StatusInternalServerError, 0, derr)
 				return
 			}
 			opts.SpillDir = dir
@@ -563,7 +390,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Broker != nil {
 		rsv, actx, aerr := s.cfg.Broker.Admit(qctx, budget)
 		if aerr != nil {
-			s.writeError(w, qid, statusFor(aerr, r.Context().Err() != nil), aerr)
+			s.fail(w, qid, aerr, r.Context().Err() != nil)
 			return
 		}
 		defer rsv.Release()
@@ -573,10 +400,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	res, err := prepared.ExecuteErr(qctx, opts)
 	if err != nil {
-		s.writeError(w, qid, statusFor(err, r.Context().Err() != nil), err)
+		s.fail(w, qid, err, r.Context().Err() != nil)
 		return
 	}
-	s.counters.OK.Add(1)
+	s.edge.OK.Add(1)
 	s.recordMeters(res)
 
 	stats := queryStats{
@@ -593,9 +420,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		a := res.Adapt
 		stats.Adapt = &a
 	}
-	cols := make([]colMeta, len(res.Cols))
+	cols := make([]ColMeta, len(res.Cols))
 	for i, c := range res.Cols {
-		cols[i] = colMeta{Name: c.Name, Type: res.Result.Vecs[i].T.String()}
+		cols[i] = ColMeta{Name: c.Name, Type: res.Result.Vecs[i].T.String()}
 	}
 	if useRC {
 		// Fill: encode the rows once into cache pages, insert, and serve
@@ -605,7 +432,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		stats.ResultCache = "miss"
 		if ce := encodeResultEntry(key, cols, res, s.rcache.MaxEntry()); ce != nil {
 			s.rcache.Put(ce)
-			if stream {
+			if req.Stream {
 				s.streamCached(qctx, w, qid, ce, stats, time.Time{})
 			} else {
 				s.writeCachedDoc(w, qid, ce, stats, time.Time{})
@@ -614,10 +441,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		s.rcache.noteRejected()
 	}
-	if stream {
-		s.streamResult(qctx, w, qid, cols, res, stats)
+	if req.Stream {
+		s.edge.StreamRows(qctx, w, qid, cols, res.Result.NumRows(), fillRow(res.Result), stats)
 	} else {
-		s.writeResult(w, qid, cols, res, stats)
+		WriteDoc(w, qid, cols, ResultRows(res.Result), stats)
 	}
 }
 
@@ -647,69 +474,25 @@ func rowValue(v *exec.Vector, i int) any {
 	}
 }
 
-// writeResult delivers the whole result as one JSON document.
-func (s *Server) writeResult(w http.ResponseWriter, qid string, cols []colMeta, res *plan.ExecResult, stats queryStats) {
-	n := res.Result.NumRows()
-	rows := make([][]any, n)
-	for i := 0; i < n; i++ {
-		row := make([]any, len(res.Result.Vecs))
-		for c := range res.Result.Vecs {
-			row[c] = rowValue(&res.Result.Vecs[c], i)
+// fillRow is the row function of an executed result: it sets dst to
+// row i.
+func fillRow(r *exec.Result) func(i int, dst []any) {
+	return func(i int, dst []any) {
+		for c := range r.Vecs {
+			dst[c] = rowValue(&r.Vecs[c], i)
 		}
-		rows[i] = row
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		QueryID  string     `json:"query_id"`
-		Cols     []colMeta  `json:"cols"`
-		Rows     [][]any    `json:"rows"`
-		RowCount int        `json:"row_count"`
-		Stats    queryStats `json:"stats"`
-	}{qid, cols, rows, n, stats})
 }
 
-// streamResult delivers rows as NDJSON: a header object, one JSON array per
-// row, then a trailer object with the row count and meters. Rows go out in
-// chunks of cfg.StreamChunk with a flush and a cancellation check between
-// chunks, so a disconnected client stops the stream (and releases the
-// admission reservation, held by the handler) within one chunk.
-func (s *Server) streamResult(ctx context.Context, w http.ResponseWriter, qid string, cols []colMeta, res *plan.ExecResult, stats queryStats) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(struct {
-		QueryID string    `json:"query_id"`
-		Cols    []colMeta `json:"cols"`
-	}{qid, cols}); err != nil {
-		return
+// ResultRows materializes an executed result's rows as wire values.
+func ResultRows(r *exec.Result) [][]any {
+	fill := fillRow(r)
+	rows := make([][]any, r.NumRows())
+	for i := range rows {
+		rows[i] = make([]any, len(r.Vecs))
+		fill(i, rows[i])
 	}
-	n := res.Result.NumRows()
-	row := make([]any, len(res.Result.Vecs))
-	for i := 0; i < n; i++ {
-		for c := range res.Result.Vecs {
-			row[c] = rowValue(&res.Result.Vecs[c], i)
-		}
-		if err := enc.Encode(row); err != nil {
-			return // client went away; handler unwinds, reservation releases
-		}
-		if (i+1)%s.cfg.StreamChunk == 0 {
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if ctx.Err() != nil {
-				s.counters.Canceled.Add(1)
-				return
-			}
-		}
-	}
-	enc.Encode(struct {
-		QueryID  string     `json:"query_id"`
-		RowCount int        `json:"row_count"`
-		Stats    queryStats `json:"stats"`
-	}{qid, n, stats})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	return rows
 }
 
 // streamCached replays a cached result as NDJSON: header, then the cached
@@ -733,7 +516,7 @@ func (s *Server) streamCached(ctx context.Context, w http.ResponseWriter, qid st
 			flusher.Flush()
 		}
 		if ctx.Err() != nil {
-			s.counters.Canceled.Add(1)
+			s.edge.Canceled.Add(1)
 			return
 		}
 	}
@@ -770,21 +553,6 @@ func (s *Server) writeCachedDoc(w http.ResponseWriter, qid string, ce *resultEnt
 	fmt.Fprintf(w, "],\"row_count\":%d,\"stats\":%s}\n", ce.rowCount, statsJSON)
 }
 
-// sanitizeQueryID keeps a caller-supplied query id loggable: printable
-// ASCII, bounded length.
-func sanitizeQueryID(s string) string {
-	if len(s) > 64 {
-		s = s[:64]
-	}
-	var b strings.Builder
-	for _, r := range s {
-		if r > 0x20 && r < 0x7f {
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
 // sessionResponse is the POST /session reply.
 type sessionResponse struct {
 	Session string `json:"session"`
@@ -795,21 +563,22 @@ type sessionResponse struct {
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		if !s.enter() {
-			s.writeError(w, "", http.StatusServiceUnavailable, errors.New("server is draining"))
+		_, done, err := s.edge.Enter(r.Context())
+		if err != nil {
+			s.fail(w, "", err, false)
 			return
 		}
-		defer s.leave()
+		defer done()
 		var d SessionDefaults
 		if r.Body != nil {
 			if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&d); err != nil && err != io.EOF {
-				s.writeError(w, "", http.StatusBadRequest, fmt.Errorf("bad session body: %w", err))
+				s.edge.WriteError(w, "", http.StatusBadRequest, 0, fmt.Errorf("bad session body: %w", err))
 				return
 			}
 		}
 		sess, err := s.createSession(d)
 		if err != nil {
-			s.writeError(w, "", http.StatusBadRequest, err)
+			s.edge.WriteError(w, "", http.StatusBadRequest, 0, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -820,7 +589,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			id = r.URL.Query().Get("id")
 		}
 		if !s.dropSession(id) {
-			s.writeError(w, "", http.StatusNotFound, fmt.Errorf("unknown session %q", id))
+			s.edge.WriteError(w, "", http.StatusNotFound, 0, fmt.Errorf("unknown session %q", id))
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -832,10 +601,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 // handleHealthz is the load-balancer probe: 200 while serving, 503 while
 // draining so traffic shifts away before the listener closes.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	if s.edge.Draining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -865,15 +631,16 @@ type ServerStats struct {
 	// for reuse, pages running queries hold, and pages the pool allocated.
 	PagePool core.PagePoolStats `json:"page_pool"`
 	Queries  struct {
-		Total      int64 `json:"total"`
-		Active     int64 `json:"active"`
-		OK         int64 `json:"ok"`
-		BadRequest int64 `json:"bad_request"`
-		Overloaded int64 `json:"overloaded"`
-		Timeout    int64 `json:"timeout"`
-		Canceled   int64 `json:"canceled"`
-		Stalled    int64 `json:"stalled"`
-		Internal   int64 `json:"internal"`
+		Total       int64 `json:"total"`
+		Active      int64 `json:"active"`
+		OK          int64 `json:"ok"`
+		BadRequest  int64 `json:"bad_request"`
+		Overloaded  int64 `json:"overloaded"`
+		Unavailable int64 `json:"unavailable"`
+		Timeout     int64 `json:"timeout"`
+		Canceled    int64 `json:"canceled"`
+		Stalled     int64 `json:"stalled"`
+		Internal    int64 `json:"internal"`
 	} `json:"queries"`
 	Meters struct {
 		RowsReturned    int64 `json:"rows_returned"`
@@ -894,8 +661,8 @@ type ServerStats struct {
 func (s *Server) Stats() ServerStats {
 	var st ServerStats
 	st.UptimeSec = time.Since(s.started).Seconds()
+	st.Draining = s.edge.Draining()
 	s.mu.Lock()
-	st.Draining = s.draining
 	st.Sessions = len(s.sessions)
 	s.mu.Unlock()
 	st.SessionsExpired = s.sessionsExpired.Load()
@@ -913,15 +680,16 @@ func (s *Server) Stats() ServerStats {
 		st.BufferPool = &BufferPoolStats{PoolStats: ps, HitRate: ps.HitRate()}
 	}
 	st.PagePool = core.PagePool()
-	st.Queries.Total = s.counters.Total.Load()
-	st.Queries.Active = s.counters.Active.Load()
-	st.Queries.OK = s.counters.OK.Load()
-	st.Queries.BadRequest = s.counters.BadRequest.Load()
-	st.Queries.Overloaded = s.counters.Overloaded.Load()
-	st.Queries.Timeout = s.counters.Timeout.Load()
-	st.Queries.Canceled = s.counters.Canceled.Load()
-	st.Queries.Stalled = s.counters.Stalled.Load()
-	st.Queries.Internal = s.counters.Internal.Load()
+	st.Queries.Total = s.edge.Total.Load()
+	st.Queries.Active = s.active.Load()
+	st.Queries.OK = s.edge.OK.Load()
+	st.Queries.BadRequest = s.edge.BadRequest.Load()
+	st.Queries.Overloaded = s.edge.Overloaded.Load()
+	st.Queries.Unavailable = s.edge.Unavailable.Load()
+	st.Queries.Timeout = s.edge.Timeout.Load()
+	st.Queries.Canceled = s.edge.Canceled.Load()
+	st.Queries.Stalled = s.edge.Stalled.Load()
+	st.Queries.Internal = s.edge.Internal.Load()
 	st.Meters.RowsReturned = s.meters.RowsReturned.Load()
 	st.Meters.SourceRows = s.meters.SourceRows.Load()
 	st.Meters.SpilledBytes = s.meters.SpilledBytes.Load()

@@ -565,6 +565,10 @@ func TestDrainRefusesNewWorkAndFlipsHealthz(t *testing.T) {
 	if !errors.As(err, &re) || re.Status != http.StatusServiceUnavailable {
 		t.Fatalf("query while draining: %v, want 503", err)
 	}
+	// A refusal is the surface being unavailable, not an internal error.
+	if q := h.srv.Stats().Queries; q.Unavailable != 1 || q.Internal != 0 {
+		t.Fatalf("refusal counted as unavailable=%d internal=%d, want 1 and 0", q.Unavailable, q.Internal)
+	}
 	// Idempotent: a second drain returns immediately.
 	if !h.srv.Drain(time.Second) {
 		t.Fatal("repeat drain not clean")

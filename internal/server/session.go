@@ -146,7 +146,7 @@ func (s *Server) sessionJanitor(interval time.Duration) {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.baseCtx.Done():
+		case <-s.edge.Context().Done():
 			return
 		case <-t.C:
 		}
