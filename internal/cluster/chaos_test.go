@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,6 +178,50 @@ func TestFragmentBackoffHonorsExactRetryAfter(t *testing.T) {
 	}
 	if fe.retryAfter != 200*time.Millisecond {
 		t.Fatalf("backoff floor = %v, want 200ms", fe.retryAfter)
+	}
+}
+
+// TestMidRowCutIsRetried: a shard that dies in the middle of a row — its
+// connection closes after a header, one whole row and half of the next —
+// cut the stream short; it did not send a malformed one. The attempt is
+// retryable, and the query succeeds on the re-dispatch.
+func TestMidRowCutIsRetried(t *testing.T) {
+	var calls atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, `{"query_id":"q1","cols":[{"name":"n","type":"INT64"}]}`+"\n[12]\n")
+		if calls.Add(1) == 1 {
+			io.WriteString(w, "[12")
+			w.(http.Flusher).Flush()
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+			return
+		}
+		io.WriteString(w, `{"query_id":"q1","row_count":1,"stats":{}}`+"\n")
+	}))
+	defer shard.Close()
+	c, err := New(Config{Shards: []string{shard.URL}, Spec: Spec{"t": {}}, ProbeInterval: -1,
+		RetryBase: time.Millisecond, RetryCap: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Drain(time.Second)
+	_, _, err = c.attemptFragment(context.Background(), shard.URL, "", "SELECT count(*) AS n FROM t", "q1")
+	var fe *fragError
+	if !errors.As(err, &fe) || !fe.retryable || errors.Is(err, server.ErrBadStream) {
+		t.Fatalf("err = %v, want a retryable truncation", err)
+	}
+	calls.Store(0)
+	res, err := c.Query(context.Background(), "SELECT count(*) AS n FROM t", "")
+	if err != nil {
+		t.Fatalf("query over a shard cut mid-row: %v", err)
+	}
+	if res.Stats.Retries < 1 || len(res.Rows) != 1 || fmt.Sprint(res.Rows[0]) != "[12]" {
+		t.Fatalf("rows %v, stats %+v: want [[12]] after at least one retry", res.Rows, res.Stats)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"partitionjoin/internal/adapt"
 	"partitionjoin/internal/exec"
+	"partitionjoin/internal/pagepool"
 )
 
 // AdaptiveJoin makes the paper's partition-or-not answer revisable at
@@ -143,7 +144,7 @@ func (s *AdaptiveBuildSink) drainWorker(ctx *exec.Ctx) {
 		// between two pages leaves HashJoin.Release nothing to put twice.
 		*pages = (*pages)[1:]
 		j.Gov.Release(int64(cap(pg)))
-		putPage(&bytePages, pg)
+		pagepool.Bytes.Put(pg)
 	}
 }
 

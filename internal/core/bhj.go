@@ -8,6 +8,7 @@ import (
 	"partitionjoin/internal/faultinject"
 	"partitionjoin/internal/govern"
 	"partitionjoin/internal/meter"
+	"partitionjoin/internal/pagepool"
 	"partitionjoin/internal/storage"
 )
 
@@ -105,16 +106,16 @@ func dirWords(n int) int {
 // number of build pages: the directory and the chain links, at the
 // capacities the pools hand out. The pages are charged as they are taken.
 func (j *HashJoin) tableBytes(n, pages int) int64 {
-	return int64(pageCap(dirWords(n)))*8 + int64(pageCap(pages<<j.shift))*4
+	return int64(pagepool.Cap(dirWords(n)))*8 + int64(pagepool.Cap(pages<<j.shift))*4
 }
 
 // page takes a build page from the pool and charges the query's governor for
 // its capacity.
 func (j *HashJoin) page() []byte {
 	n := j.Layout.Size << j.shift
-	j.Gov.MustGrant(int64(pageCap(n)))
+	j.Gov.MustGrant(int64(pagepool.Cap(n)))
 	j.taken.Add(1)
-	return getPage(&bytePages, n)
+	return pagepool.Bytes.Get(n)
 }
 
 // Release returns the table's pooled memory once the query is over, however
@@ -124,8 +125,8 @@ func (j *HashJoin) page() []byte {
 // keeps them for as long as a result holds them (the rule of
 // RadixJoin.retire). No worker of the query may still run.
 func (j *HashJoin) Release() {
-	putPage(&wordPages, j.dir)
-	putPage(&linkPages, j.next)
+	pagepool.Words.Put(j.dir)
+	pagepool.Links.Put(j.next)
 	for _, pgs := range j.wpages {
 		letGo(j.Layout, pgs...)
 	}
@@ -198,8 +199,8 @@ func (s *HashBuildSink) Close() {
 		}
 	}
 	nd, slots := dirWords(j.n), len(j.pages)<<j.shift
-	j.dir = getPage(&wordPages, nd)[:nd]
-	j.next = getPage(&linkPages, slots)[:slots]
+	j.dir = pagepool.Words.Get(nd)[:nd]
+	j.next = pagepool.Links.Get(slots)[:slots]
 	j.Gov.MustGrant(j.tableBytes(j.n, len(j.pages)))
 	clear(j.dir)
 	mask := uint64(nd - 1)

@@ -13,6 +13,7 @@ import (
 	"partitionjoin/internal/faultinject"
 	"partitionjoin/internal/govern"
 	"partitionjoin/internal/hashx"
+	"partitionjoin/internal/pagepool"
 	"partitionjoin/internal/spill"
 	"partitionjoin/internal/storage"
 )
@@ -125,7 +126,7 @@ func TestPagedPartPreservesRowsAcrossPages(t *testing.T) {
 		chunk := make([]byte, rows*rowSize)
 		rng.Read(chunk)
 		want = append(want, chunk...)
-		p.write(chunk, rowSize, 128, func(n int) []byte { return getPage(&bytePages, n) })
+		p.write(chunk, rowSize, 128, func(n int) []byte { return pagepool.Bytes.Get(n) })
 	}
 	var got []byte
 	for _, pg := range p.pages {
@@ -405,7 +406,7 @@ func TestDiscardAfterFailedClose(t *testing.T) {
 	}
 	j.Discard()
 
-	stop := TracePages()
+	stop := pagepool.Trace()
 	j = consume()
 	faultinject.Arm(t, govern.GrantSite, faultinject.Fault{Kind: faultinject.Fail, After: grants - 1})
 	func() {
@@ -545,8 +546,8 @@ func TestReloadReadsFramesInPlace(t *testing.T) {
 	}
 	ctx := &exec.Ctx{}
 	src := &spillSrc{file: f, resident: [][]byte{resident}, rowSize: rowSize}
-	buf := getPage(&bytePages, int(src.bytes()))
-	defer putPage(&bytePages, buf)
+	buf := pagepool.Bytes.Get(int(src.bytes()))
+	defer pagepool.Bytes.Put(buf)
 	got, err := src.gather(ctx, buf)
 	if err != nil {
 		t.Fatal(err)

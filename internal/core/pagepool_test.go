@@ -17,6 +17,7 @@ import (
 	"partitionjoin/internal/faultinject"
 	"partitionjoin/internal/govern"
 	"partitionjoin/internal/meter"
+	"partitionjoin/internal/pagepool"
 	"partitionjoin/internal/plan"
 	"partitionjoin/internal/spill"
 	"partitionjoin/internal/storage"
@@ -116,7 +117,7 @@ func joinOpts(algo plan.JoinAlgo) plan.Options {
 // the two resident paths also with integer payloads, whose join-phase pages
 // go back to the pool while other partitions are still being joined.
 func TestRadixPathsMatchBHJ(t *testing.T) {
-	defer core.PoisonPages()()
+	defer pagepool.Poison()()
 	build, probe := strTables(30000, 60000, 40000)
 	type variant struct {
 		name   string
@@ -190,7 +191,7 @@ func TestRadixPathsMatchBHJ(t *testing.T) {
 // while its neighbours are taking pages; every query that completes must
 // still equal its reference.
 func TestConcurrentQueriesShareThePagePool(t *testing.T) {
-	defer core.PoisonPages()()
+	defer pagepool.Poison()()
 	build, probe := strTables(30000, 120000, 40000)
 	node := strJoin(build, probe, core.Inner, false)
 	opts := joinOpts(plan.RJ)
@@ -266,7 +267,7 @@ func TestConcurrentQueriesShareThePagePool(t *testing.T) {
 // rows included — across many partition pairs before it flushes: those rows
 // must stay intact after their partition has been joined.
 func TestJoinedStringsOutliveThePartition(t *testing.T) {
-	defer core.PoisonPages()()
+	defer pagepool.Poison()()
 	build, probe := strTables(30000, 60000, 40000)
 	few, _ := strTables(500, 1, 40000)
 	under := func(lower plan.JoinAlgo) plan.Node {
@@ -304,7 +305,7 @@ func TestJoinedStringsOutliveThePartition(t *testing.T) {
 // join. The build side spans a few dozen pages; LeftOuter, LeftSemi and
 // LeftAnti read them again after the probe.
 func TestBHJMatchesRadixJoinOnPooledPages(t *testing.T) {
-	defer core.PoisonPages()()
+	defer pagepool.Poison()()
 	build, probe := strTables(30000, 60000, 40000)
 	for _, kind := range allKinds {
 		for _, ints := range []bool{true, false} {
@@ -351,7 +352,7 @@ func (o *keepStrs) Flush(*exec.Ctx) {}
 // pages, and whatever holds them keeps them after the query released its
 // table, so those pages must never go back to the pool.
 func TestBHJStringsOutliveTheTable(t *testing.T) {
-	defer core.PoisonPages()()
+	defer pagepool.Poison()()
 	const n = 20000 // ten pages of 32-byte rows
 	build := exec.NewBatch([]storage.Type{storage.Int64, storage.String}, []int{0, 15})
 	probe := exec.NewBatch([]storage.Type{storage.Int64}, nil)
@@ -396,7 +397,7 @@ func TestBHJStringsOutliveTheTable(t *testing.T) {
 // is left to the garbage collector.
 func TestBHJReturnsEveryPageOnce(t *testing.T) {
 	faultinject.FailOnLeak(t)
-	defer core.PoisonPages()()
+	defer pagepool.Poison()()
 	build, probe := strTables(30000, 4*storage.MorselSize, 40000)
 	// Morsel visits: one for the build side, then the probe morsels; the
 	// fault fires on the second probe morsel, with the first one probed.
@@ -423,7 +424,7 @@ func TestBHJReturnsEveryPageOnce(t *testing.T) {
 					faultinject.Arm(t, exec.MorselSite, faultinject.Fault{
 						Kind: faultinject.Panic, After: midProbe, Once: true})
 				}
-				stop := core.TracePages()
+				stop := pagepool.Trace()
 				_, err := plan.ExecuteErr(ctx, opts, node)
 				bad, out := stop()
 				if (err == nil) != (end == "completes") {
@@ -437,16 +438,30 @@ func TestBHJReturnsEveryPageOnce(t *testing.T) {
 	}
 }
 
+// groupByScan groups the probe table by its key and a payload column: up to
+// 40 000 groups, so every worker's table grows many times. With strs the
+// payload is the string column, and MIN over it keeps strings too.
+func groupByScan(probe *storage.Table, strs bool) plan.Node {
+	aggs := []plan.AggExpr{{Kind: exec.AggCount, As: "n"}, {Kind: exec.AggSumI, Col: "pval", As: "s"},
+		{Kind: exec.AggAvgF, Col: "pval", As: "a"}}
+	if strs {
+		aggs = append(aggs, plan.AggExpr{Kind: exec.AggMinStr, Col: "pstr", As: "m"})
+		return plan.GroupBy(plan.Scan(probe, "fkey", "pval", "pstr"), []string{"fkey", "pstr"}, aggs...)
+	}
+	return plan.GroupBy(plan.Scan(probe, "fkey", "pval"), []string{"fkey", "pval"}, aggs...)
+}
+
 // TestEveryQueryHandsBackItsPages is the conservation property of the page
 // pools: however a query ends — it completes, fails on an allocation or a
 // disk fault, is cancelled, or panics — every page it took leaves the pools'
 // books exactly once, put back or (rows with strings that a result may
 // point into) forgotten, so every size class has as many pages out after
 // the query as before it. BHJ, RJ in one and in two passes, BRJ and a
-// spilling RJ, each with integer and with string payloads.
+// spilling RJ, each with integer and with string payloads, and a group-by
+// over integer and over string keys.
 func TestEveryQueryHandsBackItsPages(t *testing.T) {
 	faultinject.FailOnLeak(t)
-	defer core.PoisonPages()()
+	defer pagepool.Poison()()
 	build, probe := strTables(30000, 4*storage.MorselSize, 40000)
 	type ending struct {
 		name   string
@@ -462,15 +477,20 @@ func TestEveryQueryHandsBackItsPages(t *testing.T) {
 		algo    plan.JoinAlgo
 		twoPass bool // a cache budget far below the build side
 		spill   bool
+		groupBy bool // a group-by over the probe table instead of a join
 	}{
 		{name: "BHJ", algo: plan.BHJ},
 		{name: "RJ", algo: plan.RJ},
 		{name: "RJ two passes", algo: plan.RJ, twoPass: true},
 		{name: "BRJ", algo: plan.BRJ},
 		{name: "RJ spilling", algo: plan.RJ, spill: true},
+		{name: "group-by", algo: plan.BHJ, groupBy: true},
 	} {
 		for _, ints := range []bool{true, false} {
-			node := strJoin(build, probe, core.Inner, !ints)
+			var node plan.Node = strJoin(build, probe, core.Inner, !ints)
+			if shape.groupBy {
+				node = groupByScan(probe, !ints)
+			}
 			opts := joinOpts(shape.algo)
 			opts.Workers = 2
 			if shape.twoPass {
@@ -496,10 +516,16 @@ func TestEveryQueryHandsBackItsPages(t *testing.T) {
 				endings = append(endings, ending{name: "allocation fails " + at.name, site: govern.GrantSite,
 					fault: faultinject.Fault{Kind: faultinject.Fail, After: at.grant}})
 			}
+			// A group-by has no build side: its faults fire on the third
+			// morsel it aggregates, with two through.
+			mid := "mid-probe"
+			if shape.groupBy {
+				mid = "mid-aggregate"
+			}
 			endings = append(endings,
-				ending{name: "cancelled mid-probe", site: exec.MorselSite, cancel: true,
+				ending{name: "cancelled " + mid, site: exec.MorselSite, cancel: true,
 					fault: faultinject.Fault{Kind: faultinject.Stall, Stall: time.Minute, After: midProbe}},
-				ending{name: "panics mid-probe", site: exec.MorselSite,
+				ending{name: "panics " + mid, site: exec.MorselSite,
 					fault: faultinject.Fault{Kind: faultinject.Panic, After: midProbe, Once: true}})
 			if shape.algo != plan.BHJ {
 				// The join phase stalls without watching the context: each
@@ -534,8 +560,8 @@ func TestEveryQueryHandsBackItsPages(t *testing.T) {
 							cancel()
 						}()
 					}
-					before := core.PagesOut()
-					stop := core.TracePages()
+					before := pagepool.Out()
+					stop := pagepool.Trace()
 					_, err := plan.ExecuteErr(ctx, opts, node)
 					for err == nil && end.site == govern.GrantSite && end.fault.After > 0 {
 						// A query's grants vary a little with the morsels
@@ -553,7 +579,7 @@ func TestEveryQueryHandsBackItsPages(t *testing.T) {
 					if bad != 0 || out != 0 {
 						t.Fatalf("%d pages handed out twice or given up unheld, %d never given up", bad, out)
 					}
-					if after := core.PagesOut(); !maps.Equal(after, before) {
+					if after := pagepool.Out(); !maps.Equal(after, before) {
 						t.Fatalf("pages out by size class: %v before the query, %v after", before, after)
 					}
 				})

@@ -11,6 +11,7 @@ import (
 	"partitionjoin/internal/govern"
 	"partitionjoin/internal/hashx"
 	"partitionjoin/internal/meter"
+	"partitionjoin/internal/pagepool"
 	"partitionjoin/internal/storage"
 )
 
@@ -210,10 +211,10 @@ func (s *RadixSink) worker(ctx *exec.Ctx) *pass1Worker {
 		take := func(n int) []byte {
 			// Geometric growth reserves ahead of the data; when the budget
 			// cannot carry that, grow by first-size pages before evicting.
-			if n > pageBytes && gov.WouldExceed(int64(pageCap(n))) {
+			if n > pageBytes && gov.WouldExceed(int64(pagepool.Cap(n))) {
 				n = pageBytes
 			}
-			s.maybeEvict(w, int64(pageCap(n)))
+			s.maybeEvict(w, int64(pagepool.Cap(n)))
 			return s.Join.page(n)
 		}
 		w.flush = func(p int, data []byte) {

@@ -11,6 +11,7 @@ import (
 	"partitionjoin/internal/faultinject"
 	"partitionjoin/internal/govern"
 	"partitionjoin/internal/meter"
+	"partitionjoin/internal/pagepool"
 	"partitionjoin/internal/storage"
 )
 
@@ -391,8 +392,8 @@ func (j *RadixJoin) compact(chunks [][]byte) []byte {
 // governor for what it then holds: the page's capacity. The charge comes
 // first, so a failed grant leaves no page in limbo.
 func (j *RadixJoin) page(n int) []byte {
-	j.Gov.MustGrant(int64(pageCap(n)))
-	return getPage(&bytePages, n)
+	j.Gov.MustGrant(int64(pagepool.Cap(n)))
+	return pagepool.Bytes.Get(n)
 }
 
 // free returns chunks whose rows nothing references any more to the page

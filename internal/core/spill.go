@@ -10,6 +10,7 @@ import (
 	"partitionjoin/internal/faultinject"
 	"partitionjoin/internal/govern"
 	"partitionjoin/internal/meter"
+	"partitionjoin/internal/pagepool"
 	"partitionjoin/internal/spill"
 )
 
@@ -300,8 +301,8 @@ func (s *spillSrc) each(ctx *exec.Ctx, fn func(chunk []byte)) error {
 	}
 	var frame []byte
 	if !s.copyFrames {
-		frame = getPage(&bytePages, s.file.MaxFrame())
-		defer putPage(&bytePages, frame)
+		frame = pagepool.Bytes.Get(s.file.MaxFrame())
+		defer pagepool.Bytes.Put(frame)
 	}
 	rd := s.file.NewReader()
 	for ctx.Err() == nil {
@@ -423,7 +424,7 @@ func (s *PartitionJoinSource) joinSpilledPair(ctx *exec.Ctx, out exec.Operator, 
 
 	// Reload the build side into one contiguous pooled buffer, which the
 	// join's results may point into as the partition pages they replace.
-	buf := getPage(&bytePages, int(bBytes))
+	buf := pagepool.Bytes.Get(int(bBytes))
 	defer letGo(j.BuildSink.Layout, buf)
 	buf, err := bsrc.gather(ctx, buf)
 	if err != nil {
@@ -489,7 +490,7 @@ func (s *PartitionJoinSource) recurseSpilled(ctx *exec.Ctx, out exec.Operator, p
 		defer sp.gov.Release(int64(nsub * stageCap))
 		defer func() {
 			for _, pg := range stage {
-				putPage(&bytePages, pg)
+				pagepool.Bytes.Put(pg)
 			}
 		}()
 		flush := func(sub int) {
@@ -516,7 +517,7 @@ func (s *PartitionJoinSource) recurseSpilled(ctx *exec.Ctx, out exec.Operator, p
 				row := chunk[off : off+layout.Size]
 				sub := int(layout.Hash(row)>>shift) & (nsub - 1)
 				if stage[sub] == nil {
-					stage[sub] = getPage(&bytePages, stageCap)
+					stage[sub] = pagepool.Bytes.Get(stageCap)
 				}
 				stage[sub] = append(stage[sub], row...)
 				if len(stage[sub]) >= stageCap {

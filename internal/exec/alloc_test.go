@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"partitionjoin/internal/storage"
@@ -90,5 +91,62 @@ func TestGroupByConsumeAllocs(t *testing.T) {
 		g.Consume(ctx, b)
 	}); n > 0 {
 		t.Fatalf("steady-state Consume allocates %.1f times per run, want 0", n)
+	}
+}
+
+// groupByManyRun aggregates rows keyed 0..groups-1, each key twice, on two
+// workers taking alternate batches, emits the result and releases the
+// sink: one keyed group-by with many groups, start to end.
+func groupByManyRun(b *Batch, groups int, out Operator) *GroupBySink {
+	g := &GroupBySink{
+		Keys:     []int{0},
+		Aggs:     []AggSpec{{Kind: AggCount}, {Kind: AggSumI, Col: 1}},
+		KeyTypes: []storage.Type{storage.Int64},
+		KeyCaps:  []int{0},
+	}
+	g.Open(2)
+	ctxs := [2]*Ctx{{Worker: 0, Workers: 2}, {Worker: 1, Workers: 2}}
+	for i := 0; i < 2*groups/BatchSize; i++ {
+		g.Consume(ctxs[i%2], b)
+		for j := range b.Vecs[0].I64 {
+			b.Vecs[0].I64[j] = (b.Vecs[0].I64[j] + BatchSize) % int64(groups)
+		}
+	}
+	g.Close()
+	src := g.Source()
+	for task := 0; task < src.Tasks(); task++ {
+		src.Emit(ctxs[0], task, out)
+	}
+	return g
+}
+
+// TestGroupBySteadyStateAllocation pins what building the group-by on
+// pooled pages buys: once the pool is warm, a keyed group-by over 131 072
+// groups allocates about 30 KB a run. Go maps keyed by a heap string per
+// group, with growing state arrays and a merged copy, allocate about 83 MB
+// a run: the bound, 1 MiB, fails them by 80x.
+func TestGroupBySteadyStateAllocation(t *testing.T) {
+	const groups = 1 << 17
+	b := NewBatch([]storage.Type{storage.Int64, storage.Int64}, []int{0, 0})
+	for i := 0; i < BatchSize; i++ {
+		b.Vecs[0].I64 = append(b.Vecs[0].I64, int64(i))
+		b.Vecs[1].I64 = append(b.Vecs[1].I64, int64(i%7))
+	}
+	b.N = BatchSize
+	out := &countOp{}
+	groupByManyRun(b, groups, out).Release() // fills the pool
+	if out.rows != groups {
+		t.Fatalf("%d groups, want %d", out.rows, groups)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		groupByManyRun(b, groups, out).Release()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(1 << 20); perRun > limit {
+		t.Fatalf("steady-state group-by allocates %d B per run, want <= %d B", perRun, limit)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"partitionjoin/internal/admit"
 	"partitionjoin/internal/core"
 	"partitionjoin/internal/faultinject"
+	"partitionjoin/internal/pagepool"
 	"partitionjoin/internal/storage"
 )
 
@@ -97,7 +98,7 @@ func staticRows(t *testing.T, opts Options, node Node) [][]int64 {
 // poison hook is on, so a drained build page read after it went back to
 // the pool shows up as a wrong answer.
 func TestAdaptiveMigrationMatchesStatic(t *testing.T) {
-	defer core.PoisonPages()()
+	defer pagepool.Poison()()
 	// 60000 build rows x 24 B packed ≈ 1.4 MiB ≈ 5.6x the 256 KiB budget:
 	// the projected close-time footprint crosses the budget a few morsels
 	// into the build, well before it completes.

@@ -123,9 +123,10 @@ type compiler struct {
 	adapt     *adapt.Controller // nil when Options.NoAdapt
 	spillDir  *spill.Dir        // non-nil when Options.SpillDir is set
 	spills    []*core.JoinSpill
-	radix     []*core.RadixJoin // every radix join compiled, for the unwind sweep
-	hashJoins []*core.HashJoin  // every BHJ compiled, released after the query
-	workers   int               // resolved driver parallelism (never <= 0)
+	radix     []*core.RadixJoin   // every radix join compiled, for the unwind sweep
+	hashJoins []*core.HashJoin    // every BHJ compiled, released after the query
+	groupBys  []*exec.GroupBySink // every group-by compiled, released after the query
+	workers   int                 // resolved driver parallelism (never <= 0)
 	pipelines []*exec.Pipeline
 	harvests  []func()
 	// pagers are the distinct stats-capable pagers behind the plan's
@@ -364,6 +365,7 @@ func (c *compiler) compile(n Node) *pipe {
 	case *GroupByNode:
 		p := c.compile(n.Child)
 		sink := &exec.GroupBySink{Gov: c.gov}
+		c.groupBys = append(c.groupBys, sink)
 		kt := make([]storage.Type, len(n.Keys))
 		kc := make([]int, len(n.Keys))
 		for i, k := range n.Keys {

@@ -149,15 +149,18 @@ func (p *Prepared) run(ctx context.Context, opts Options) (*ExecResult, error) {
 		defer dir.Cleanup()
 		c.spillDir = dir
 	}
-	// However the query ends, partition pages it did not get to join and
-	// the hash tables go back to the page pools (RunAll returns only once
-	// every worker has).
+	// However the query ends, partition pages it did not get to join, the
+	// hash tables and the group-by tables go back to the page pool (RunAll
+	// returns only once every worker has).
 	defer func() {
 		for _, j := range c.radix {
 			j.Discard()
 		}
 		for _, j := range c.hashJoins {
 			j.Release()
+		}
+		for _, g := range c.groupBys {
+			g.Release()
 		}
 	}()
 	pp := c.compile(root)

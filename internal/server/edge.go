@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -138,6 +139,9 @@ func (o *Outcomes) count(status int, err error) {
 		o.Timeout.Add(1)
 	case status == StatusClientClosedRequest:
 		o.Canceled.Add(1)
+	case status >= 400 && status < 500:
+		// Any other client-caused failure, such as an unknown session (404).
+		o.BadRequest.Add(1)
 	case errors.Is(err, admit.ErrStalled):
 		o.Stalled.Add(1)
 	default:
@@ -327,6 +331,7 @@ var ErrBadStream = errors.New("malformed result stream")
 func ReadStream(r io.Reader, hdr *StreamHeader, row func(line []byte) error, tr *StreamTrailer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Split(wholeLines)
 	if !sc.Scan() {
 		return fmt.Errorf("empty stream: %w", cmp.Or(sc.Err(), io.ErrUnexpectedEOF))
 	}
@@ -354,4 +359,18 @@ func ReadStream(r io.Reader, hdr *StreamHeader, row func(line []byte) error, tr 
 		return fmt.Errorf("mid-stream: %w", err)
 	}
 	return fmt.Errorf("stream ended without trailer (query %s)", hdr.QueryID)
+}
+
+// wholeLines splits a stream into '\n'-terminated lines. Unlike
+// bufio.ScanLines it never returns an unterminated last line: a stream cut
+// mid-row ends in io.ErrUnexpectedEOF (or the read error that cut it),
+// never in half a row handed to the caller as if it were malformed.
+func wholeLines(data []byte, atEOF bool) (advance int, line []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	return 0, nil, nil
 }

@@ -43,6 +43,7 @@ import (
 	"partitionjoin/internal/colstore"
 	"partitionjoin/internal/core"
 	"partitionjoin/internal/exec"
+	"partitionjoin/internal/pagepool"
 	"partitionjoin/internal/plan"
 	"partitionjoin/internal/sql"
 	"partitionjoin/internal/storage"
@@ -627,9 +628,10 @@ type ServerStats struct {
 	ResultCache *ResultCacheStats `json:"result_cache,omitempty"`
 	// BufferPool is absent when the server is not backed by a column store.
 	BufferPool *BufferPoolStats `json:"buffer_pool,omitempty"`
-	// PagePool is the process's pooled query memory: join pages kept idle
-	// for reuse, pages running queries hold, and pages the pool allocated.
-	PagePool core.PagePoolStats `json:"page_pool"`
+	// PagePool is the process's pooled query memory: join and group-by
+	// pages kept idle for reuse, pages running queries hold, and pages the
+	// pool allocated.
+	PagePool pagepool.Stats `json:"page_pool"`
 	Queries  struct {
 		Total       int64 `json:"total"`
 		Active      int64 `json:"active"`
@@ -679,7 +681,7 @@ func (s *Server) Stats() ServerStats {
 		ps := s.cfg.BufferPool.Stats()
 		st.BufferPool = &BufferPoolStats{PoolStats: ps, HitRate: ps.HitRate()}
 	}
-	st.PagePool = core.PagePool()
+	st.PagePool = pagepool.Snapshot()
 	st.Queries.Total = s.edge.Total.Load()
 	st.Queries.Active = s.active.Load()
 	st.Queries.OK = s.edge.OK.Load()

@@ -547,6 +547,28 @@ func TestBadRequestsMapTo400(t *testing.T) {
 	}
 }
 
+// TestUnknownSessionIsNotAnInternalError: deleting a session that does not
+// exist is the client's mistake: a 404, counted as a bad request, never as
+// an internal failure.
+func TestUnknownSessionIsNotAnInternalError(t *testing.T) {
+	h := newHarness(t, server.Config{}, testCatalog())
+	req, err := http.NewRequest(http.MethodDelete, h.base+"/session/s-unknown", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := h.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status = %d, want 404", resp.StatusCode)
+	}
+	if q := h.srv.Stats().Queries; q.Internal != 0 || q.BadRequest != 1 {
+		t.Fatalf("internal = %d, bad_request = %d; want 0 and 1", q.Internal, q.BadRequest)
+	}
+}
+
 func TestDrainRefusesNewWorkAndFlipsHealthz(t *testing.T) {
 	h := newHarness(t, server.Config{}, testCatalog())
 	cl := h.client()
