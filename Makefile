@@ -32,12 +32,13 @@ bench-scan:
 	go test -bench 'BenchmarkScan' -benchtime=1x -run '^$$' .
 
 # bench-join runs the join-path microbenchmarks with allocation reporting:
-# the end-to-end joins plus the staged-probe and SWWCB-scatter kernels, and
+# the end-to-end joins plus the staged-probe, SWWCB-scatter and
+# partition-join kernels (one partition pair as one chunk and as pages), and
 # the group-by kernel beside them. The hot loops are expected to report 0
 # allocs/op at steady state.
 bench-join:
 	go test -bench 'BenchmarkJoin' -benchmem -benchtime=1x -run '^$$' .
-	go test -bench 'BenchmarkProbe|BenchmarkScatter' -benchmem -run '^$$' ./internal/core/
+	go test -bench 'BenchmarkProbe|BenchmarkScatter|BenchmarkJoinPartition' -benchmem -run '^$$' ./internal/core/
 	go test -bench 'BenchmarkGroupBy' -benchmem -run '^$$' ./internal/exec/
 
 # bench-spine measures this commit on the benchmark spine (ten seeds per

@@ -277,7 +277,7 @@ func (j *RadixJoin) scatterSub(l *Layout, chunks [][]byte, shift uint, sub []pag
 	for _, part := range chunks {
 		for off := 0; off < len(part); off += l.Size {
 			row := part[off : off+l.Size]
-			sub[int(l.Hash(row)>>shift)&(len(sub)-1)].write(row, l.Size, j.Cfg.PageBytes, take)
+			sub[int(l.Hash(row)>>shift)&(len(sub)-1)].write(row, l.Size, take)
 		}
 	}
 }

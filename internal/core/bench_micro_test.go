@@ -31,9 +31,10 @@ func probeTable() (*rhTable, []uint64) {
 	return t, hashes
 }
 
-// probeStaged mirrors joinPartition's group-staged probe loop: hash a group
-// of rows and load each one's first table entry before walking any probe
-// chain, so the random entry-array misses overlap instead of serializing.
+// probeStaged mirrors joinScratch.probe's group-staged probe loop: hash a
+// group of rows and load each one's first table entry before walking any
+// probe chain, so the random entry-array misses overlap instead of
+// serializing.
 // stage (<= probeStage) = 1 degenerates to the unstaged one-at-a-time loop.
 func probeStaged(t *rhTable, hashes []uint64, stage int) int {
 	entries := t.entries[:t.mask+1]

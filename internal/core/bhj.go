@@ -75,9 +75,6 @@ type HashJoin struct {
 const (
 	bhjIdxMask = (1 << 48) - 1
 	bhjTagBits = 16
-	// bhjPageBytes bounds a build page: it holds the largest power-of-two
-	// number of rows that fits.
-	bhjPageBytes = 64 << 10
 )
 
 // tagBit derives the directory tag from high hash bits, disjoint from the
@@ -86,10 +83,10 @@ func tagBit(h uint64) uint64 { return 1 << (48 + ((h >> 40) & 15)) }
 
 // pageShift is log2 of the rows a build page of rowSize-byte rows holds.
 func pageShift(rowSize int) uint {
-	if rowSize >= bhjPageBytes {
+	if rowSize >= pageBytes {
 		return 0
 	}
-	return uint(bits.Len(uint(bhjPageBytes/rowSize)) - 1)
+	return uint(bits.Len(uint(pageBytes/rowSize)) - 1)
 }
 
 // dirWords is the directory size for n build rows: a power of two, at least
@@ -122,8 +119,8 @@ func (j *HashJoin) page() []byte {
 // it ended: the directory and the links always, the build pages only when
 // the layout has no string column. Emitted strings are slices into the
 // rows, so pages with strings are forgotten instead: the garbage collector
-// keeps them for as long as a result holds them (the rule of
-// RadixJoin.retire). No worker of the query may still run.
+// keeps them for as long as a result holds them. No worker of the query may
+// still run.
 func (j *HashJoin) Release() {
 	pagepool.Words.Put(j.dir)
 	pagepool.Links.Put(j.next)
@@ -154,7 +151,7 @@ func (s *HashBuildSink) Open(workers int) {
 func (s *HashBuildSink) Consume(ctx *exec.Ctx, b *exec.Batch) {
 	j := s.J
 	size := j.Layout.Size
-	pageBytes := size << j.shift
+	full := size << j.shift
 	pages := &j.wpages[ctx.Worker]
 	var hcol []int64
 	if j.BuildHashCol >= 0 {
@@ -162,12 +159,12 @@ func (s *HashBuildSink) Consume(ctx *exec.Ctx, b *exec.Batch) {
 	}
 	faultinject.Hit(BuildSite)
 	for i := 0; i < b.N; {
-		if n := len(*pages); n == 0 || len((*pages)[n-1]) == pageBytes {
+		if n := len(*pages); n == 0 || len((*pages)[n-1]) == full {
 			*pages = append(*pages, j.page())
 		}
 		last := len(*pages) - 1
 		pg := (*pages)[last]
-		end := minInt(b.N, i+(pageBytes-len(pg))/size)
+		end := min(b.N, i+(full-len(pg))/size)
 		for ; i < end; i++ {
 			var h uint64
 			if hcol != nil {
@@ -204,7 +201,7 @@ func (s *HashBuildSink) Close() {
 	j.Gov.MustGrant(j.tableBytes(j.n, len(j.pages)))
 	clear(j.dir)
 	mask := uint64(nd - 1)
-	parallelFor(len(j.pages), maxInt(len(j.wpages), 1), func(_, p int) {
+	parallelFor(len(j.pages), max(len(j.wpages), 1), func(_, p int) {
 		pg := j.pages[p]
 		slot := p << j.shift
 		for off := 0; off < len(pg); off += size {
@@ -500,11 +497,4 @@ func (s *UnmatchedBuildSource) Emit(ctx *exec.Ctx, task int, out exec.Operator) 
 		out.Process(ctx, b)
 		b.Reset()
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -43,11 +43,6 @@ type Config struct {
 	// larger than 64 B" rule scaled to the buffer size.
 	SWWCBBytes int
 
-	// PageBytes is the initial size of a partition page; pages grow
-	// geometrically as in Section 4.5 ("whenever a page is full, a
-	// larger page is prepended").
-	PageBytes int
-
 	// Bloom enables the semi-join reducer (turns RJ into BRJ).
 	Bloom bool
 
@@ -81,7 +76,6 @@ func DefaultConfig() Config {
 		MaxPass2Bits:     8,
 		MinTotalBits:     2,
 		SWWCBBytes:       256,
-		PageBytes:        64 << 10,
 		Bloom:            false,
 		AdaptiveBloom:    false,
 		BloomSample:      4096,

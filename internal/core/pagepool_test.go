@@ -57,9 +57,9 @@ func strTables(nBuild, nProbe int, keyRange int64) (build, probe *storage.Table)
 }
 
 // strJoin joins the two tables on key = fkey where bval <> pval. With strs
-// the string columns ride along as payload; pages whose rows carry strings
-// are not recycled after the join (RadixJoin.retire, HashJoin.Release), so
-// the integer-only shape is the one that exercises that reuse.
+// the string columns ride along as payload; the BHJ's pages whose rows
+// carry strings are not recycled after the join (HashJoin.Release), so the
+// integer-only shape is the one that exercises that reuse.
 func strJoin(build, probe *storage.Table, kind core.JoinKind, strs bool) *plan.JoinNode {
 	j := &plan.JoinNode{
 		ID: 1, Kind: kind,

@@ -7,6 +7,11 @@ import (
 	"partitionjoin/internal/pagepool"
 )
 
+// pageBytes is the one page size of both joins: the BHJ's build pages hold
+// the largest power-of-two number of rows that fits it, and a radix
+// partition's first page is this large (its later pages grow geometrically).
+const pageBytes = 64 << 10
+
 // pagedPart is one temporary partition of the first pass: a linked list of
 // pages owned by a single worker (Section 4.5: "each temporary partition is
 // implemented as a linked list of pages. Whenever a page is full, a larger
@@ -51,10 +56,10 @@ func chunkBytes(chunks [][]byte) int64 {
 // across page boundaries on row boundaries. New pages come from take, which
 // may evict this very partition to make room (rows are counted as they
 // land, so the partition stays consistent across such a reset).
-func (p *pagedPart) write(data []byte, rowSize, firstPageBytes int, take func(n int) []byte) {
+func (p *pagedPart) write(data []byte, rowSize int, take func(n int) []byte) {
 	for len(data) > 0 {
 		if len(p.pages) == 0 || len(p.last())+rowSize > cap(p.last()) {
-			pg := take(p.nextPageBytes(rowSize, firstPageBytes))
+			pg := take(p.nextPageBytes(rowSize))
 			p.pages = append(p.pages, pg)
 		}
 		pg := p.last()
@@ -71,18 +76,19 @@ func (p *pagedPart) write(data []byte, rowSize, firstPageBytes int, take func(n 
 
 func (p *pagedPart) last() []byte { return p.pages[len(p.pages)-1] }
 
-// nextPageBytes is the size of the page to append: pages grow
-// geometrically. write fills a page in whole rows only, so the pool's
+// nextPageBytes is the size of the page to append: pageBytes first, then
+// geometric growth as in Section 4.5 ("whenever a page is full, a larger page
+// is prepended"). write fills a page in whole rows only, so the pool's
 // power-of-two capacity need not be a multiple of the row size.
-func (p *pagedPart) nextPageBytes(rowSize, firstPageBytes int) int {
-	size := firstPageBytes
+func (p *pagedPart) nextPageBytes(rowSize int) int {
+	size := pageBytes
 	if n := len(p.pages); n > 0 {
 		size = cap(p.pages[n-1]) * 2
 		if size > pagepool.MaxElems {
 			size = pagepool.MaxElems
 		}
 	}
-	return maxInt(size, rowSize)
+	return max(size, rowSize)
 }
 
 // swwcbSet is a worker-local set of software write-combine buffers, one per

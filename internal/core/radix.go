@@ -206,7 +206,7 @@ func (s *RadixSink) worker(ctx *exec.Ctx) *pass1Worker {
 		// is what the query then holds — not on every flush (a fault-site
 		// check, an atomic add on a line all workers share and a peak CAS
 		// per ~16 tuples).
-		rowSize, pageBytes := s.Layout.Size, s.Cfg.PageBytes
+		rowSize := s.Layout.Size
 		gov := s.gov()
 		take := func(n int) []byte {
 			// Geometric growth reserves ahead of the data; when the budget
@@ -218,7 +218,7 @@ func (s *RadixSink) worker(ctx *exec.Ctx) *pass1Worker {
 			return s.Join.page(n)
 		}
 		w.flush = func(p int, data []byte) {
-			w.parts[p].write(data, rowSize, pageBytes, take)
+			w.parts[p].write(data, rowSize, take)
 		}
 		s.workers[ctx.Worker] = w
 	}
@@ -397,7 +397,7 @@ func (s *RadixSink) Close() {
 			out.Rows += w.parts[p].rows
 		}
 	}
-	out.B2 = s.Join.decideBits(s, out.Rows, maxInt(len(live), 1))
+	out.B2 = s.Join.decideBits(s, out.Rows, max(len(live), 1))
 	if out.B2 == 0 {
 		s.gather(out, live)
 		s.endPhase()
@@ -445,7 +445,7 @@ func (s *RadixSink) pass2(out *Partitions, live []*pass1Worker) {
 	rowSize := s.Layout.Size
 	shift := uint(out.B1)
 	maskF2 := uint64(f2 - 1)
-	workers := maxInt(len(live), 1)
+	workers := max(len(live), 1)
 	// Per-goroutine scratch: write-combine buffers, and the chunks (for the
 	// scan, counters) of the pre-partition in work — kept out of the shared
 	// arrays until a task ends, so workers stay off each other's lines.
@@ -582,11 +582,4 @@ func totalBitsFor(cfg Config, buildBytes int64) int {
 		total = maxTotal
 	}
 	return total
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

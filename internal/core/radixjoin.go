@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -294,10 +295,20 @@ type PartitionJoinSource struct {
 	spilled []int // spilled pass-1 partitions, fixed when the join phase starts
 }
 
+// joinScratch is one worker's join phase: the hash table, the output batch
+// and the matched flags, reused partition after partition, and the partition
+// pair in work. Its methods are the kernel of Algorithm 2; kept off closures,
+// they allocate nothing per partition.
 type joinScratch struct {
 	ht      rhTable
 	out     *exec.Batch
-	matched []bool
+	matched []bool // by slot, LeftOuter/LeftSemi/LeftAnti
+
+	j     *RadixJoin
+	ctx   *exec.Ctx
+	next  exec.Operator
+	views [][]byte // build rows of the partition in work (buildTable)
+	shift uint     // a build row's slot is view<<shift | row
 }
 
 // Tasks implements exec.Source: one task per resident partition pair plus
@@ -319,7 +330,7 @@ func (s *PartitionJoinSource) worker(ctx *exec.Ctx) *joinScratch {
 				b.Vecs[i].Width = widths[i]
 			}
 		}
-		w = &joinScratch{out: b}
+		w = &joinScratch{out: b, j: s.J}
 		s.scratch[ctx.Worker] = w
 	}
 	return w
@@ -348,44 +359,25 @@ func (s *PartitionJoinSource) Emit(ctx *exec.Ctx, pid int, out exec.Operator) {
 	s.joinChunks(ctx, out, bch, pch)
 }
 
-// joinChunks joins one resident partition pair and retires its chunks —
-// deferred, so a task that fails part-way still hands them back.
+// joinChunks joins one resident partition pair where its chunks lie and
+// frees them — deferred, so a task that fails part-way still hands them
+// back. Results carry string columns as slices into the rows; a pair that
+// completes has flushed them through the pipeline (finish), and a task
+// that fails or is cancelled ends its worker's pipeline, whose buffers are
+// never read again, so no result points into a freed chunk.
 func (s *PartitionJoinSource) joinChunks(ctx *exec.Ctx, out exec.Operator, bch, pch [][]byte) {
 	j := s.J
 	defer func() {
-		j.retire(j.BuildSink.Layout, bch...)
-		j.retire(j.ProbeSink.Layout, pch...)
+		j.free(bch...)
+		j.free(pch...)
 	}()
-	bpart := j.compact(bch)
-	if len(bch) > 1 {
-		bch = append(bch[:0], bpart)
-	}
-	s.joinPartition(ctx, out, bpart, func(yield func(ppart []byte)) {
-		for _, c := range pch {
-			yield(c)
+	w := s.buildTable(ctx, out, bch, nil)
+	for _, c := range pch {
+		if !w.probe(c) {
+			return
 		}
-	})
-}
-
-// compact returns a build partition's rows as one contiguous chunk (the
-// hash table indexes rows by position): the partition's only chunk, or a
-// pooled copy that replaces — and frees — the chunks. The caller frees it.
-func (j *RadixJoin) compact(chunks [][]byte) []byte {
-	switch len(chunks) {
-	case 0:
-		return nil
-	case 1:
-		return chunks[0]
 	}
-	n := chunkBytes(chunks)
-	buf := j.page(int(n))
-	for _, c := range chunks {
-		buf = append(buf, c...)
-	}
-	j.Meter.AddRead(n)
-	j.Meter.AddWrite(n)
-	j.free(chunks...)
-	return buf
+	w.finish()
 }
 
 // page takes a page of capacity >= n from the pool and charges the query's
@@ -399,25 +391,10 @@ func (j *RadixJoin) page(n int) []byte {
 // free returns chunks whose rows nothing references any more to the page
 // pool and their capacity to the governor.
 func (j *RadixJoin) free(chunks ...[]byte) {
-	j.release(chunks)
-	putPages(chunks)
-}
-
-func (j *RadixJoin) release(chunks [][]byte) {
 	for _, c := range chunks {
 		j.Gov.Release(int64(cap(c)))
 	}
-}
-
-// retire frees chunks of layout l that the join phase emitted results from.
-// String columns are emitted as slices into the row (Layout.AppendCol), and
-// an operator downstream may buffer such a slice until its pipeline flushes,
-// long after this partition: chunks with string columns are therefore left
-// to the garbage collector, which keeps them while anything points into them
-// (letGo).
-func (j *RadixJoin) retire(l *Layout, chunks ...[]byte) {
-	j.release(chunks)
-	letGo(l, chunks...)
+	putPages(chunks)
 }
 
 // Discard returns the pages of a query that unwound (cancelled, failed)
@@ -442,96 +419,131 @@ func (j *RadixJoin) Discard() {
 	}
 }
 
-// joinPartition builds the hash table over one contiguous build partition
-// and probes it with the chunks the probe callback yields — the pages of a
-// resident partition, or a stream of reloaded spill frames (Algorithm 2
-// either way). Chunks must hold whole packed probe rows.
-func (s *PartitionJoinSource) joinPartition(ctx *exec.Ctx, out exec.Operator, bpart []byte, probe func(yield func(ppart []byte))) {
-	j := s.J
+// buildTable builds the worker's hash table over one build partition where
+// its rows lie — its chunks, and extra (a reload buffer) when not empty —
+// and readies the worker to probe it with probe chunks (the pages of a
+// resident partition, or reloaded spill frames) and then to finish the
+// partition: Algorithm 2 either way. Chunks hold whole packed rows.
+//
+// The table stores a build row by its slot, view<<shift | row, as the BHJ
+// stores its rows by page (HashJoin.shift). The views are the chunks, each
+// cut into runs of 2^shift rows where it holds more; shift covers the
+// largest chunk's rows up to the rows of the largest pooled page, so only an
+// oversized chunk (pass 2's, a reload buffer) is ever cut. Slots fit in
+// int32: a chunk's views waste less than 2^shift <= 2^18 slots (the largest
+// pooled page holds 2^18 of the narrowest, 16-byte rows), so the slots stay
+// below 2^31 for any partition of fewer than 2^30 rows in fewer than 2^12
+// chunks.
+func (s *PartitionJoinSource) buildTable(ctx *exec.Ctx, out exec.Operator, bch [][]byte, extra []byte) *joinScratch {
 	w := s.worker(ctx)
-	bl, pl := j.BuildSink.Layout, j.ProbeSink.Layout
-	nb := len(bpart) / bl.Size
-	ctx.Meter.AddRead(int64(len(bpart)))
-
-	// Build the per-partition hash table on the fly.
-	w.ht.reset(nb)
-	for i := 0; i < nb; i++ {
-		row := bpart[i*bl.Size:]
-		w.ht.insert(bl.Hash(row), int32(i))
+	w.ctx, w.next = ctx, out
+	bl := w.j.BuildSink.Layout
+	size := bl.Size
+	maxRows := max(1, len(extra)/size)
+	for _, c := range bch {
+		maxRows = max(maxRows, len(c)/size)
 	}
-
-	withBuildCols := j.Kind.HasBuildCols()
-	withProbeCols := j.Kind.HasProbeCols()
-	if j.Kind.needsMatchedFlags() {
-		if cap(w.matched) < nb {
-			w.matched = make([]bool, nb)
-		}
-		w.matched = w.matched[:nb]
-		for i := range w.matched {
-			w.matched[i] = false
-		}
+	w.shift = uint(bits.Len(uint(min(maxRows, pagepool.MaxElems/size) - 1)))
+	w.views = w.views[:0]
+	for _, c := range bch {
+		w.cut(c)
 	}
+	w.cut(extra)
 
-	flush := func() {
-		if w.out.N > 0 {
-			out.Process(ctx, w.out)
-			w.out.Reset()
+	bytes := chunkBytes(w.views)
+	ctx.Meter.AddRead(bytes)
+	w.ht.reset(int(bytes) / size)
+	for v, rows := range w.views {
+		slot := int32(v) << w.shift
+		for off := 0; off < len(rows); off += size {
+			w.ht.insert(bl.Hash(rows[off:]), slot)
+			slot++
 		}
 	}
-	emitPair := func(brow, prow []byte) {
-		v := 0
-		if withBuildCols {
-			for _, c := range j.BuildOut {
-				if brow != nil {
-					bl.AppendCol(&w.out.Vecs[v], brow, c)
-				} else {
-					bl.AppendZeroCol(&w.out.Vecs[v], c)
-				}
-				v++
+	if w.j.Kind.needsMatchedFlags() {
+		slots := len(w.views) << w.shift
+		if cap(w.matched) < slots {
+			w.matched = make([]bool, slots)
+		}
+		w.matched = w.matched[:slots]
+		clear(w.matched)
+	}
+	return w
+}
+
+// cut appends a chunk's rows to the views, 2^shift rows at most to a view.
+func (w *joinScratch) cut(c []byte) {
+	n := w.j.BuildSink.Layout.Size << w.shift
+	for ; len(c) > n; c = c[n:] {
+		w.views = append(w.views, c[:n:n])
+	}
+	if len(c) > 0 {
+		w.views = append(w.views, c)
+	}
+}
+
+func (w *joinScratch) flush() {
+	if w.out.N > 0 {
+		w.next.Process(w.ctx, w.out)
+		w.out.Reset()
+	}
+}
+
+// emit appends one result row as the kind shapes it: the build row's
+// columns (zeros for a nil brow), the probe row's (zeros for a nil prow),
+// and for Mark the probe row's match flag.
+func (w *joinScratch) emit(brow, prow []byte, hit bool) {
+	j := w.j
+	v := 0
+	if j.Kind.HasBuildCols() {
+		bl := j.BuildSink.Layout
+		for _, c := range j.BuildOut {
+			if brow != nil {
+				bl.AppendCol(&w.out.Vecs[v], brow, c)
+			} else {
+				bl.AppendZeroCol(&w.out.Vecs[v], c)
 			}
-		}
-		if withProbeCols {
-			for _, c := range j.ProbeOut {
-				if prow != nil {
-					pl.AppendCol(&w.out.Vecs[v], prow, c)
-				} else {
-					pl.AppendZeroCol(&w.out.Vecs[v], c)
-				}
-				v++
-			}
-		}
-		w.out.N++
-		if w.out.N >= exec.BatchSize {
-			flush()
-		}
-	}
-	emitMark := func(prow []byte, hit bool) {
-		v := 0
-		for _, c := range j.ProbeOut {
-			pl.AppendCol(&w.out.Vecs[v], prow, c)
 			v++
 		}
-		flag := int64(0)
-		if hit {
-			flag = 1
-		}
-		w.out.Vecs[v].I64 = append(w.out.Vecs[v].I64, flag)
-		w.out.N++
-		if w.out.N >= exec.BatchSize {
-			flush()
+	}
+	if j.Kind.HasProbeCols() {
+		pl := j.ProbeSink.Layout
+		for _, c := range j.ProbeOut {
+			if prow != nil {
+				pl.AppendCol(&w.out.Vecs[v], prow, c)
+			} else {
+				pl.AppendZeroCol(&w.out.Vecs[v], c)
+			}
+			v++
 		}
 	}
+	if j.Kind == Mark {
+		w.out.Vecs[v].I64 = append(w.out.Vecs[v].I64, int64(boolToInt(hit)))
+	}
+	w.out.N++
+	if w.out.N >= exec.BatchSize {
+		w.flush()
+	}
+}
 
+// probe joins one chunk of packed probe rows against the table. It reports
+// false when the query was cancelled: the partition is then abandoned.
+func (w *joinScratch) probe(ppart []byte) bool {
+	j, ctx := w.j, w.ctx
+	bl, pl := j.BuildSink.Layout, j.ProbeSink.Layout
+	views, shift := w.views, w.shift
+	rowMask := int32(1)<<shift - 1
+	np := len(ppart) / pl.Size
+	j.StatProbeRows.Add(int64(np))
+	ctx.Meter.AddRead(int64(len(ppart)))
 	var matches int64
-	ht := &w.ht
-	entries := ht.entries
-	mask := ht.mask
+	entries := w.ht.entries
+	mask := w.ht.mask
 	// Single 8-byte integer keys (every TPC-H and prior-work key) compare
 	// with two direct loads instead of the generic per-column path.
 	fastKey := bl.KeyI64 && pl.KeyI64 && j.Residual == nil
 	bKeyOff := bl.Offs[bl.KeyCols[0]]
 	pKeyOff := pl.Offs[pl.KeyCols[0]]
-	cancelled := false
 	// Prefetch-distance staging (probeStage): hash a group of probe rows
 	// and load each one's first hash-table entry before any row's probe
 	// walk begins. The staged loads are independent, so the group's random
@@ -541,113 +553,114 @@ func (s *PartitionJoinSource) joinPartition(ctx *exec.Ctx, out exec.Operator, bp
 	var stHash [probeStage]uint64
 	var stSlot [probeStage]uint32
 	var stEnt [probeStage]rhEntry
-	probe(func(ppart []byte) {
-		if cancelled {
-			return
+	for base := 0; base < np; base += probeStage {
+		g := min(probeStage, np-base)
+		for k := 0; k < g; k++ {
+			h := pl.Hash(ppart[(base+k)*pl.Size:])
+			slot := rhSlot(h) & mask
+			stHash[k], stSlot[k] = h, slot
+			stEnt[k] = entries[slot]
 		}
-		np := len(ppart) / pl.Size
-		j.StatProbeRows.Add(int64(np))
-		ctx.Meter.AddRead(int64(len(ppart)))
-		for base := 0; base < np; base += probeStage {
-			g := min(probeStage, np-base)
-			for k := 0; k < g; k++ {
-				h := pl.Hash(ppart[(base+k)*pl.Size:])
-				slot := rhSlot(h) & mask
-				stHash[k], stSlot[k] = h, slot
-				stEnt[k] = entries[slot]
-			}
-			for k := 0; k < g; k++ {
-				i := base + k
-				prow := ppart[i*pl.Size : (i+1)*pl.Size]
-				h := stHash[k]
-				hit := false
-				// Inlined robin-hood probe: the displacement invariant
-				// bounds the scan (see rhTable.probe); candidates verify
-				// key and residual before counting as matches.
-				slot := stSlot[k]
-				e := stEnt[k]
-				dist := uint32(0)
-				for {
-					idx := e.idx
-					if idx < 0 {
-						break
+		for k := 0; k < g; k++ {
+			i := base + k
+			prow := ppart[i*pl.Size : (i+1)*pl.Size]
+			h := stHash[k]
+			hit := false
+			// Inlined robin-hood probe: the displacement invariant
+			// bounds the scan (see rhTable.probe); candidates verify
+			// key and residual before counting as matches.
+			slot := stSlot[k]
+			e := stEnt[k]
+			dist := uint32(0)
+			for {
+				idx := e.idx
+				if idx < 0 {
+					break
+				}
+				occDist := (slot - rhSlot(e.hash)) & mask
+				if occDist < dist {
+					break
+				}
+				if e.hash == h {
+					off := int(idx&rowMask) * bl.Size
+					brow := views[idx>>shift][off : off+bl.Size]
+					var ok bool
+					if fastKey {
+						ok = binary.LittleEndian.Uint64(brow[bKeyOff:]) ==
+							binary.LittleEndian.Uint64(prow[pKeyOff:])
+					} else {
+						ok = bl.KeyEqual(brow, pl, prow) &&
+							(j.Residual == nil || j.Residual(brow, prow))
 					}
-					occDist := (slot - rhSlot(e.hash)) & mask
-					if occDist < dist {
-						break
-					}
-					if e.hash == h {
-						brow := bpart[int(idx)*bl.Size : (int(idx)+1)*bl.Size]
-						var ok bool
-						if fastKey {
-							ok = binary.LittleEndian.Uint64(brow[bKeyOff:]) ==
-								binary.LittleEndian.Uint64(prow[pKeyOff:])
-						} else {
-							ok = bl.KeyEqual(brow, pl, prow) &&
-								(j.Residual == nil || j.Residual(brow, prow))
-						}
-						if ok {
-							hit = true
-							matches++
-							switch j.Kind {
-							case Inner, RightOuter:
-								emitPair(brow, prow)
-							case LeftOuter:
-								w.matched[idx] = true
-								emitPair(brow, prow)
-							case LeftSemi, LeftAnti:
-								w.matched[idx] = true
-							case Semi, Anti, Mark:
-								// Presence is all that matters.
-							}
+					if ok {
+						hit = true
+						matches++
+						switch j.Kind {
+						case Inner, RightOuter:
+							w.emit(brow, prow, true)
+						case LeftOuter:
+							w.matched[idx] = true
+							w.emit(brow, prow, true)
+						case LeftSemi, LeftAnti:
+							w.matched[idx] = true
+						case Semi, Anti, Mark:
+							// Presence is all that matters.
 						}
 					}
-					slot = (slot + 1) & mask
-					dist++
-					e = entries[slot]
 				}
-				switch j.Kind {
-				case Semi:
-					if hit {
-						emitPair(nil, prow)
-					}
-				case Anti:
-					if !hit {
-						emitPair(nil, prow)
-					}
-				case Mark:
-					emitMark(prow, hit)
-				case RightOuter:
-					if !hit {
-						emitPair(nil, prow)
-					}
-				}
+				slot = (slot + 1) & mask
+				dist++
+				e = entries[slot]
 			}
-			// Poll cancellation roughly every 8K probe rows so a huge
-			// skewed partition cannot pin a worker past a deadline.
-			if base&^8191 != (base+g)&^8191 && ctx.Err() != nil {
-				cancelled = true
-				return
+			switch j.Kind {
+			case Semi:
+				if hit {
+					w.emit(nil, prow, true)
+				}
+			case Anti:
+				if !hit {
+					w.emit(nil, prow, false)
+				}
+			case Mark:
+				w.emit(nil, prow, hit)
+			case RightOuter:
+				if !hit {
+					w.emit(nil, prow, false)
+				}
 			}
 		}
-	})
-	if cancelled {
-		return
-	}
-	switch j.Kind {
-	case LeftOuter, LeftAnti:
-		for i := 0; i < nb; i++ {
-			if !w.matched[i] {
-				emitPair(bpart[i*bl.Size:(i+1)*bl.Size], nil)
-			}
-		}
-	case LeftSemi:
-		for i := 0; i < nb; i++ {
-			if w.matched[i] {
-				emitPair(bpart[i*bl.Size:(i+1)*bl.Size], nil)
-			}
+		// Poll cancellation roughly every 8K probe rows so a huge
+		// skewed partition cannot pin a worker past a deadline.
+		if base&^8191 != (base+g)&^8191 && ctx.Err() != nil {
+			j.StatMatches.Add(matches)
+			return false
 		}
 	}
 	j.StatMatches.Add(matches)
-	flush()
+	return true
+}
+
+// finish sweeps the build rows by their matched flag — LeftSemi emits the
+// matched ones, LeftOuter and LeftAnti the unmatched ones — and flushes the
+// partition's results through the rest of the pipeline. String columns are
+// emitted as slices into the rows (Layout.AppendCol) and an operator
+// downstream (a BHJ probe) may buffer them until it is flushed; every sink
+// copies what it keeps, so once the flush returns nothing points into the
+// partition's chunks and they go back to the pool.
+func (w *joinScratch) finish() {
+	if w.j.Kind.needsMatchedFlags() {
+		size := w.j.BuildSink.Layout.Size
+		want := w.j.Kind == LeftSemi
+		for v, rows := range w.views {
+			slot := v << w.shift
+			for off := 0; off < len(rows); off += size {
+				if w.matched[slot] == want {
+					w.emit(rows[off:off+size], nil, want)
+				}
+				slot++
+			}
+		}
+	}
+	w.flush()
+	w.next.Flush(w.ctx)
 }

@@ -240,9 +240,10 @@ type spillSrc struct {
 	// layout carries string columns: probe rows stream straight into the
 	// partition join, which emits string columns as zero-copy slices into
 	// the chunk — and each otherwise reads every frame into one pooled
-	// buffer, so an aliased string would be overwritten by the next frame.
-	// Numeric columns are decoded by value and build sides are gathered
-	// into a reload buffer (gather), so neither needs this.
+	// buffer, so an aliased string would be overwritten by the next frame
+	// before the pair's results are flushed. Numeric columns are decoded by
+	// value and a build side stays put for the whole pair, so neither needs
+	// this.
 	copyFrames bool
 }
 
@@ -320,16 +321,10 @@ func (s *spillSrc) each(ctx *exec.Ctx, fn func(chunk []byte)) error {
 	return nil
 }
 
-// gather appends all of the side's rows to buf, which must have room for
-// bytes(): resident sub-partitions are copied, spill frames are read
-// straight into buf, so each byte lands once. Errors are each's.
+// gather appends the side's spill run to buf, which must have room for the
+// run's bytes: frames are read straight into buf, so each byte lands once.
+// The resident sub-partitions stay where they lie. Errors are each's.
 func (s *spillSrc) gather(ctx *exec.Ctx, buf []byte) ([]byte, error) {
-	for _, part := range s.resident {
-		buf = append(buf, part...)
-	}
-	if s.file == nil {
-		return buf, nil
-	}
 	rd := s.file.NewReader()
 	for ctx.Err() == nil {
 		var err error
@@ -385,12 +380,12 @@ func (s *PartitionJoinSource) emitSpilled(ctx *exec.Ctx, p1 int, out exec.Operat
 		rowSize:    j.ProbeSink.Layout.Size,
 		copyFrames: j.ProbeSink.Layout.HasStringCols(),
 	}
-	// Build chunks were copied into the reload buffer; probe chunks were
-	// joined where they lie. Deferred, so a pair that fails part-way still
-	// hands its chunks back.
+	// Both sides' resident chunks are joined where they lie and freed once
+	// the pair's results are flushed (joinScratch.finish). Deferred, so a
+	// pair that fails part-way still hands its chunks back.
 	defer func() {
 		j.free(bsrc.resident...)
-		j.retire(j.ProbeSink.Layout, psrc.resident...)
+		j.free(psrc.resident...)
 	}()
 	s.joinSpilledPair(ctx, out, p1, 0, bsrc, psrc)
 }
@@ -422,13 +417,17 @@ func (s *PartitionJoinSource) joinSpilledPair(ctx *exec.Ctx, out exec.Operator, 
 	sp.grantReload(working)
 	defer sp.gov.Release(working)
 
-	// Reload the build side into one contiguous pooled buffer, which the
-	// join's results may point into as the partition pages they replace.
-	buf := pagepool.Bytes.Get(int(bBytes))
-	defer letGo(j.BuildSink.Layout, buf)
-	buf, err := bsrc.gather(ctx, buf)
-	if err != nil {
-		panic(fmt.Errorf("core: reload of join %d partition %d build side: %w", sp.joinID, p1, err))
+	// The build side is its resident chunks where they lie plus, when it
+	// spilled, one pooled buffer holding its spill frames, put back once the
+	// pair's results are flushed (joinScratch.finish).
+	var buf []byte
+	if bsrc.file != nil {
+		buf = pagepool.Bytes.Get(int(bsrc.file.Bytes()))
+		defer pagepool.Bytes.Put(buf)
+		var err error
+		if buf, err = bsrc.gather(ctx, buf); err != nil {
+			panic(fmt.Errorf("core: reload of join %d partition %d build side: %w", sp.joinID, p1, err))
+		}
 	}
 	if ctx.Err() != nil {
 		return
@@ -440,12 +439,13 @@ func (s *PartitionJoinSource) joinSpilledPair(ctx *exec.Ctx, out exec.Operator, 
 
 	// Stream the probe side through the partition join one chunk at a
 	// time; probe frames never need to be resident together.
-	var probeErr error
-	s.joinPartition(ctx, out, buf, func(yield func(ppart []byte)) {
-		probeErr = psrc.each(ctx, yield)
-	})
-	if probeErr != nil {
-		panic(fmt.Errorf("core: reload of join %d partition %d probe side: %w", sp.joinID, p1, probeErr))
+	w := s.buildTable(ctx, out, bsrc.resident, buf)
+	live := true
+	if err := psrc.each(ctx, func(c []byte) { live = live && w.probe(c) }); err != nil {
+		panic(fmt.Errorf("core: reload of join %d partition %d probe side: %w", sp.joinID, p1, err))
+	}
+	if live {
+		w.finish()
 	}
 	sp.meter.AddSpillRead(fileBytes(psrc.file))
 	sp.mu.Lock()

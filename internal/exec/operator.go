@@ -69,9 +69,12 @@ func (c *Ctx) ScratchBatch(types []storage.Type, caps []int) *Batch {
 
 // Operator is a node of a per-worker fused pipeline chain. Process consumes
 // one batch and pushes derived batches to its successor; it may mutate the
-// batch in place (filters compact, maps append vectors). Flush is called
-// once per worker after the source is exhausted so buffering operators
-// (ROF staging, write-combine buffers) can drain.
+// batch in place (filters compact, maps append vectors). Flush drains what
+// an operator buffers (ROF staging, write-combine buffers): the driver calls
+// it once per worker after the source is exhausted, and a source may call it
+// after a task to be done with the memory its batches pointed into (the
+// radix join does after each partition pair), so an operator takes further
+// batches after a Flush.
 type Operator interface {
 	Process(ctx *Ctx, b *Batch)
 	Flush(ctx *Ctx)

@@ -131,42 +131,65 @@ func TestBloomDisabledForProbeAntiKinds(t *testing.T) {
 // TestMeterDescribesThePassesThatRan pins the Figure 10 account: the radix
 // join's phases and byte counts cover exactly the partitioning passes that
 // ran. A build side that pass 1 already splits finely enough gets no scan
-// and no second pass — no phases and no bytes for them.
+// and no second pass — no phases and no bytes for them. The join phase
+// builds its tables over the partitions where they lie and writes no build
+// byte: every byte written outside a partitioning pass is the collected
+// result. The build side spans three morsels on four workers, and each
+// worker's pass-1 partitions outgrow their first page, so a one-pass build
+// partition arrives as pages of several workers.
 func TestMeterDescribesThePassesThatRan(t *testing.T) {
-	const nBuild, nProbe, rowSize = 5000, 5000, 32 // hash, key, payload: 24 B padded to 32
-	build, probe := makeTables(nBuild, nProbe, 600, 35)
-	for _, tc := range []struct {
-		name        string
-		cacheBudget int
-		passes      int64
-	}{
-		{"one pass", core.DefaultConfig().CacheBudget, 1},
-		{"two passes", 1 << 10, 2},
-	} {
-		m := meter.New()
-		opts := DefaultOptions()
-		opts.Algo = RJ
-		opts.Meter = m
-		opts.Core.CacheBudget = tc.cacheBudget
-		Execute(opts, joinPlan(build, probe, core.Inner))
-		var partWritten, pass2Phases int64
-		for _, ph := range m.Phases() {
-			switch {
-			case strings.HasPrefix(ph.Name, "partition pass 1"):
-				partWritten += ph.Written
-			case strings.HasPrefix(ph.Name, "partition pass 2"), strings.HasPrefix(ph.Name, "scan"):
-				partWritten += ph.Written
-				pass2Phases++
+	const nBuild, nProbe, rowSize = 3 * storage.MorselSize, 5000, 32 // hash, key, payload: 24 B padded to 32
+	// Every probe key has build partners, so the BRJ's filter drops no
+	// probe row and both algorithms partition the same rows.
+	build, probe := makeTables(nBuild, nProbe, 10000, 35)
+	for _, algo := range []JoinAlgo{RJ, BRJ} {
+		for _, tc := range []struct {
+			name        string
+			cacheBudget int
+			passes      int64
+		}{
+			{"one pass", core.DefaultConfig().CacheBudget, 1},
+			{"two passes", 1 << 10, 2},
+		} {
+			name := algo.String() + " " + tc.name
+			m := meter.New()
+			opts := DefaultOptions()
+			opts.Algo = algo
+			opts.Meter = m
+			opts.Workers = 4
+			opts.Core.CacheBudget = tc.cacheBudget
+			res := Execute(opts, joinPlan(build, probe, core.Inner))
+			var partWritten, pass2Phases, joinWritten int64
+			for _, ph := range m.Phases() {
+				switch {
+				case strings.HasPrefix(ph.Name, "partition pass 1"):
+					partWritten += ph.Written
+				case strings.HasPrefix(ph.Name, "partition pass 2"), strings.HasPrefix(ph.Name, "scan"):
+					partWritten += ph.Written
+					pass2Phases++
+				case strings.HasPrefix(ph.Name, "join+"):
+					joinWritten += ph.Written
+				}
 			}
-		}
-		if want := (tc.passes - 1) * 4; pass2Phases != want {
-			t.Errorf("%s: %d scan/pass-2 phases, want %d", tc.name, pass2Phases, want)
-		}
-		if want := (nBuild + nProbe) * rowSize * tc.passes; partWritten != want {
-			t.Errorf("%s: partitioning wrote %d B, want rows x rowSize x passes = %d", tc.name, partWritten, want)
-		}
-		if read, _ := m.Totals(); read == 0 {
-			t.Errorf("%s: meter recorded no reads", tc.name)
+			if want := (tc.passes - 1) * 4; pass2Phases != want {
+				t.Errorf("%s: %d scan/pass-2 phases, want %d", name, pass2Phases, want)
+			}
+			if want := (nBuild + nProbe) * rowSize * tc.passes; partWritten != want {
+				t.Errorf("%s: partitioning wrote %d B, want rows x rowSize x passes = %d", name, partWritten, want)
+			}
+			r := res.Result
+			if want := int64(r.NumRows() * 8 * len(r.Vecs)); r.NumRows() == 0 || joinWritten != want {
+				t.Errorf("%s: join phase wrote %d B, want the %d B of its %d result rows",
+					name, joinWritten, want, r.NumRows())
+			}
+			read, written := m.Totals()
+			if read == 0 {
+				t.Errorf("%s: meter recorded no reads", name)
+			}
+			if written != partWritten+joinWritten {
+				t.Errorf("%s: meter recorded %d B written, %d B of them outside the partitioning passes and the result",
+					name, written, written-partWritten-joinWritten)
+			}
 		}
 	}
 }
